@@ -27,12 +27,27 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import QLearningConfig
+from ..kernels.base import budget_rows
 from ..rl.policies import EpsilonGreedyPolicy, GreedyPolicy, Policy
 from ..rl.qtable import VTable
 from ..simulation.state import NetworkState
 from .rewards import RewardModel
 
-__all__ = ["QRouter"]
+__all__ = ["QRouter", "TILE_BYTES", "tile_rows"]
+
+#: Bytes of one ``(rows, k+1)`` float64 plane of a relay-choice tile.
+#: A tile's handful of live planes then fits a per-core L2 cache.
+TILE_BYTES = 256 * 1024
+
+
+def tile_rows(m: int, max_block_mb: float | None = None) -> int:
+    """Sender rows per Q-block tile for ``m`` actions: a
+    :data:`TILE_BYTES` plane, capped by the ``max_block_mb`` distance
+    budget; at least 1."""
+    rows = TILE_BYTES // (8 * m)
+    if max_block_mb is not None:
+        rows = min(rows, budget_rows(m, max_block_mb))
+    return max(1, rows)
 
 
 class QRouter:
@@ -146,38 +161,57 @@ class QRouter:
         code as the scalar path, and the backend's ``expected_q``
         combine preserves the reference's per-element expression tree
         exactly (see :mod:`repro.kernels.base`).
+
+        The block is evaluated over sender tiles of :func:`tile_rows`
+        rows, distance -> ``y`` -> ``expected_q`` -> row max per tile,
+        so the working set stays cache-sized instead of streaming a
+        dozen full ``(senders, k+1)`` temporaries through memory.
+        Every element is an independent function of its row and
+        column, so the tiling changes wall-clock and nothing else.
         """
         st = self.state
         targets = self.action_targets(heads)
         nodes = np.asarray(nodes, dtype=np.intp)
-        distances = st.distances_matrix(nodes, targets)
-        p = np.asarray(
-            st.link_estimator.estimates[np.ix_(nodes, targets)],
-            dtype=np.float64,
-        )
-        if np.any((p < 0.0) | (p > 1.0)):
-            raise ValueError("success probabilities must lie in [0, 1]")
+        n, m = nodes.size, targets.size
+        k = m - 1  # targets[:k] are the heads, targets[k] the BS
+        p = st.link_estimator.block(nodes, targets)
         is_bs = targets == st.bs_index
         e_dst = np.where(
             is_bs, 0.0, st.ledger.residual[np.where(is_bs, 0, targets)]
         )
+        x_src = self.rewards.x(st.ledger.residual[nodes])
+        x_dst = self.rewards.x(e_dst)
+        v_targets = self.v.get_many(targets)
+        v_self = self.v.get_many(nodes)
+        src = st.nodes.positions[nodes]
+        dst = st.nodes.positions[targets[:k]]
+        d_bs = st.topology.d_to_bs[nodes]
         c = self.rewards.cfg
-        q, v_new = self.kernels.expected_q(
-            p,
-            self.rewards.y(distances),
-            self.rewards.x(st.ledger.residual[nodes]),
-            self.rewards.x(e_dst),
-            is_bs,
-            self.v.get_many(targets),
-            self.v.get_many(nodes),
-            g=c.g,
-            alpha1=c.alpha1,
-            alpha2=c.alpha2,
-            beta1=c.beta1,
-            beta2=c.beta2,
-            bs_penalty=c.bs_penalty,
-            gamma=self.cfg.gamma,
-        )
+        q = np.empty((n, m), dtype=np.float64)
+        v_new = np.empty(n, dtype=np.float64)
+        rows = tile_rows(m, st.config.max_block_mb)
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            d = np.empty((b - a, m), dtype=np.float64)
+            if k:
+                d[:, :k] = self.kernels.distance_block(src[a:b], dst)
+            d[:, k] = d_bs[a:b]
+            q[a:b], v_new[a:b] = self.kernels.expected_q(
+                p[a:b],
+                self.rewards.y(d),
+                x_src[a:b],
+                x_dst,
+                is_bs,
+                v_targets,
+                v_self[a:b],
+                g=c.g,
+                alpha1=c.alpha1,
+                alpha2=c.alpha2,
+                beta1=c.beta1,
+                beta2=c.beta2,
+                bs_penalty=c.bs_penalty,
+                gamma=self.cfg.gamma,
+            )
         self.q_evaluations += q.size
         return q, v_new, targets
 

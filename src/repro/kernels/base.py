@@ -38,11 +38,14 @@ Three rules make the *bitwise* tier achievable at all:
    powers via ``pow_table``) — computed once by shared numpy code.
 2. **Fixed summation order.**  Grouped sums accumulate sequentially in
    the order the reference accumulates them (``np.bincount`` adds in
-   input order; a stable sort preserves within-group order).  Reduction
-   helpers that reassociate (``np.einsum`` uses FMA/SIMD, ``ndarray.sum``
-   is pairwise) are *reference-pinned*: every backend calls the same
-   numpy code for them.  This is why :meth:`~KernelBackend.distance_block`
-   and :meth:`~KernelBackend.distance_pairs` are inherited, not jitted.
+   input order; a stable sort preserves within-group order).  Every
+   Euclidean distance — scalar or batched, in the substrates or the
+   kernels — is :func:`euclidean`, which spells the sum of squares out
+   as ``(dx*dx + dz*dz) + dy*dy``: an explicit order, not whatever a
+   reducer dispatches to (it is the order numpy's ``einsum`` uses for a
+   length-3 reduction, which the golden traces were recorded with, and
+   ``tests/kernels/test_euclidean.py`` pins the two equal).  Reducers
+   that reassociate (``ndarray.sum`` is pairwise) stay out of kernels.
 3. **No fastmath, no FMA contraction.**  Compiled backends must keep
    strict IEEE semantics (numba's default); a fused multiply-add
    changes the rounding of ``a*b + c`` and breaks rule 1.
@@ -67,7 +70,39 @@ __all__ = [
     "BackendUnavailableError",
     "EquivalenceError",
     "KernelBackend",
+    "budget_rows",
+    "euclidean",
 ]
+
+
+def budget_rows(m: int, max_block_mb: float) -> int:
+    """Sender rows of an ``m``-column block whose distance temporaries
+    (three coordinate planes plus the output, float64) fit
+    ``max_block_mb`` MiB; at least 1."""
+    return max(1, int(max_block_mb * 2**20) // (8 * m * 4))
+
+
+def euclidean(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``|dst - src|`` over the trailing coordinate axis of two
+    broadcast-compatible ``(..., 3)`` position arrays (at least one
+    leading axis).
+
+    The one definition of distance (equivalence rule 2): squares of
+    per-coordinate differences summed as ``(dx*dx + dz*dz) + dy*dy``,
+    then ``sqrt``.  Broadcasting the coordinates separately means no
+    ``(..., 3)`` difference tensor is ever built.
+    """
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    dx = dst[..., 0] - src[..., 0]
+    dy = dst[..., 1] - src[..., 1]
+    dz = dst[..., 2] - src[..., 2]
+    dx *= dx
+    dz *= dz
+    dx += dz
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 class BackendUnavailableError(RuntimeError):
@@ -104,11 +139,9 @@ class KernelBackend(abc.ABC):
         """Euclidean distance block ``(len(src), len(dst))`` between two
         position sets of shape ``(n, 3)`` / ``(m, 3)``.
 
-        Reference-pinned in the bitwise tier (see module docstring): the
-        sum of squares must reproduce numpy's ``einsum`` reduction
-        bit-for-bit, so every bitwise backend runs the same numpy code
-        here.  Statistical-tier instances may use the reassociating
-        GEMM expansion instead.
+        In the bitwise tier every element is :func:`euclidean` of its
+        pair (see module docstring).  Statistical-tier instances may use
+        the reassociating GEMM expansion instead.
         """
 
     def distance_block_blocked(
@@ -120,12 +153,10 @@ class KernelBackend(abc.ABC):
         """:meth:`distance_block`, streamed over sender-row chunks.
 
         ``max_block_mb`` bounds the peak temporary footprint of the
-        computation: rows of ``src`` are processed in chunks sized so
-        the dominant per-chunk temporaries — the ``(rows, m, 3)``
-        difference block plus the ``(rows, m)`` output slice, float64 —
-        fit the budget.  Each output row is a complete, independent
-        reduction (the sum of squares reduces over the 3 coordinates
-        only), so the chunked result is **bit-identical** to the
+        computation: rows of ``src`` are processed in chunks of
+        :func:`budget_rows` rows.  Each output element is a complete,
+        independent reduction (the sum of squares reduces over the 3
+        coordinates only), so the chunked result is **bit-identical** to the
         unblocked call for every chunk size; in the bitwise tier this
         method is therefore exactly :meth:`distance_block` with bounded
         memory.  ``None`` (or a budget the whole block already fits)
@@ -136,8 +167,7 @@ class KernelBackend(abc.ABC):
         n, m = src.shape[0], dst.shape[0]
         if max_block_mb is None or n == 0 or m == 0:
             return self.distance_block(src, dst)
-        bytes_per_row = 8 * m * 4  # (m, 3) diff + (m,) output, float64
-        rows = max(1, int(max_block_mb * 2**20) // bytes_per_row)
+        rows = budget_rows(m, max_block_mb)
         if rows >= n:
             return self.distance_block(src, dst)
         out = np.empty((n, m), dtype=np.float64)
@@ -149,8 +179,8 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def distance_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Elementwise link lengths ``|src[i] - dst[i]|`` for matched
-        position arrays of shape ``(n, 3)``.  Reference-pinned like
-        :meth:`distance_block`."""
+        position arrays of shape ``(n, 3)``, each :func:`euclidean` of
+        its pair."""
 
     # -- channel -------------------------------------------------------
     @abc.abstractmethod

@@ -23,9 +23,9 @@ license FMA contraction and reassociation and break bit-equivalence):
 Inherited from the numpy reference (deliberately — see the equivalence
 policy in :mod:`repro.kernels.base`):
 
-* ``distance_block`` / ``distance_pairs`` — numpy's ``einsum`` reduces
-  the sum of squares with SIMD/FMA, which no portable scalar loop
-  reproduces bitwise; the distances stay reference-pinned.
+* ``distance_block`` / ``distance_pairs`` — already a few exact
+  vector ops in :func:`~repro.kernels.base.euclidean`'s fixed order;
+  nothing to fuse.
 * ``bernoulli`` — a single exact vector compare on uniforms drawn by
   the caller's numpy Generator; nothing to fuse.
 
@@ -213,7 +213,8 @@ def _build_kernels(njit) -> dict:
 
 def _c(a: np.ndarray, dtype) -> np.ndarray:
     """Contiguous view/copy with a pinned dtype (numba-friendly; the
-    substrates sometimes hand us broadcast or fancy-indexed arrays)."""
+    substrates hand us broadcast views, e.g. the shared estimator's
+    stride-0 ``p`` block, and fancy-indexed arrays)."""
     return np.ascontiguousarray(a, dtype=dtype)
 
 

@@ -1,14 +1,13 @@
 """Numpy reference backend.
 
-This is the code that *defines* correct behaviour: every method body is
-the batched substrate implementation PR 1 shipped (golden traces pin
-it), moved behind the :class:`~repro.kernels.base.KernelBackend`
-contract verbatim.  Other backends are validated against it bit for
-bit.
+This is the code that *defines* correct behaviour: every method keeps
+the per-element expression trees of the batched substrate code the
+golden traces pin, behind the :class:`~repro.kernels.base.KernelBackend`
+contract.  Other backends are validated against it bit for bit.
 
 Under the ``statistical`` equivalence tier the distance block switches
 to the GEMM expansion ``sqrt(|a|^2 + |b|^2 - 2 a.b)`` — one BLAS matmul
-instead of an O(n*m*3) einsum over an explicit difference tensor, much
+instead of the per-coordinate sum of squares of :func:`euclidean`,
 faster on large blocks but a *reassociated* reduction, hence licensed
 only outside the bitwise tier (it is gated distributionally, see
 :mod:`repro.kernels.gates`).
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EQUIVALENCE_CHOICES, KernelBackend
+from .base import EQUIVALENCE_CHOICES, KernelBackend, euclidean
 
 __all__ = ["NumpyBackend"]
 
@@ -40,8 +39,7 @@ class NumpyBackend(KernelBackend):
     def distance_block(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         if self.equivalence == "statistical":
             return self._distance_block_gemm(src, dst)
-        diff = dst[None, :, :] - src[:, None, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return euclidean(src[:, None, :], dst[None, :, :])
 
     @staticmethod
     def _distance_block_gemm(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -56,8 +54,7 @@ class NumpyBackend(KernelBackend):
         return np.sqrt(sq, out=sq)
 
     def distance_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        diff = dst - src
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return euclidean(src, dst)
 
     # -- channel -------------------------------------------------------
     def bernoulli(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -166,10 +163,29 @@ class NumpyBackend(KernelBackend):
         bs_penalty: float,
         gamma: float,
     ) -> tuple[np.ndarray, np.ndarray]:
+        # The contract's expression tree, evaluated in place in three or
+        # four (n, m) buffers.  Every op keeps its operand pair (IEEE +
+        # and * commute exactly), so the buffers change allocations, not
+        # bits.
         x_src_col = x_src[:, None]
-        r_s = -g + alpha1 * (x_src_col + x_dst) - alpha2 * y
-        r_s = r_s - np.where(is_bs, bs_penalty, 0.0)
-        r_f = -g + beta1 * x_src_col - beta2 * y
-        r_t = p * r_s + (1.0 - p) * r_f
-        q = r_t + gamma * (p * v_targets + (1.0 - p) * v_self[:, None])
+        q = np.add(x_src_col, x_dst)
+        q *= alpha1
+        q += -g
+        ay = np.multiply(alpha2, y)
+        q -= ay  # r_s
+        bs_cols = np.flatnonzero(is_bs)
+        if bs_cols.size:
+            q[:, bs_cols] -= bs_penalty
+        # r_f = (-g + beta1*x_src) - beta2*y, reusing alpha2*y when equal.
+        r_f = ay if beta2 == alpha2 else np.multiply(beta2, y)
+        np.subtract(-g + beta1 * x_src_col, r_f, out=r_f)
+        q *= p
+        omp = np.subtract(1.0, p)
+        r_f *= omp
+        q += r_f  # r_t = p*r_s + (1-p)*r_f
+        np.multiply(p, v_targets, out=r_f)
+        omp *= v_self[:, None]
+        r_f += omp
+        r_f *= gamma
+        q += r_f  # r_t + gamma*(p*v_targets + (1-p)*v_self)
         return q, q.max(axis=1)

@@ -127,6 +127,22 @@ class LinkEstimator:
         v.flags.writeable = False
         return v
 
+    def block(self, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Range-checked ``(len(nodes), len(targets))`` estimate block.
+
+        In shared mode it is a read-only stride-0 view of one gathered
+        row (checked once, on that row); per-pair mode gathers it.
+        """
+        if self.shared:
+            p = self._shared_row[targets]
+        else:
+            p = self._est[np.ix_(nodes, targets)]
+        if np.any((p < 0.0) | (p > 1.0)):
+            raise ValueError("success probabilities must lie in [0, 1]")
+        if self.shared:
+            p = np.broadcast_to(p, (len(nodes), p.size))
+        return p
+
     def get(self, node: int, target: int) -> float:
         if self.shared:
             return float(self._shared_row[target])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels.base import euclidean
+
 __all__ = ["Node", "BaseStation", "NodeArray"]
 
 
@@ -103,8 +105,7 @@ class NodeArray:
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (3,):
             raise ValueError("point must have shape (3,)")
-        diff = self._positions - point
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return euclidean(point, self._positions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NodeArray(n={self.n})"

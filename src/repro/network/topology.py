@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.base import euclidean
 from .node import BaseStation, NodeArray
 
 __all__ = [
@@ -43,8 +44,7 @@ def distances_to_point(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (3,):
         raise ValueError("target must have shape (3,)")
-    diff = points - target
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return euclidean(target, points)
 
 
 class Topology:

@@ -20,6 +20,7 @@ from ..config import SimulationConfig
 from ..energy.battery import EnergyLedger
 from ..energy.radio import FirstOrderRadio
 from ..kernels import KernelBackend, default_backend
+from ..kernels.base import euclidean
 from ..network.channel import Channel, LinkEstimator
 from ..network.deployment import deploy
 from ..network.node import BaseStation, NodeArray
@@ -142,8 +143,9 @@ class NetworkState:
             out[is_bs] = self.topology.d_to_bs[node]
         real = ~is_bs
         if real.any():
-            diff = self.nodes.positions[targets[real]] - self.nodes.positions[node]
-            out[real] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            out[real] = euclidean(
+                self.nodes.positions[node], self.nodes.positions[targets[real]]
+            )
         return out
 
     def distances_many(self, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -167,8 +169,9 @@ class NetworkState:
     def distances_matrix(self, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Full ``(len(nodes), len(targets))`` distance block; targets
         may include the BS sentinel.  Elementwise identical to stacking
-        :meth:`distances_from` per node (same einsum/sqrt pipeline), so
-        batched relay scoring reproduces the scalar path bit-for-bit."""
+        :meth:`distances_from` per node (both are
+        :func:`~repro.kernels.base.euclidean`), so batched relay scoring
+        reproduces the scalar path bit-for-bit."""
         nodes = np.asarray(nodes, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.intp)
         out = np.empty((nodes.size, targets.size), dtype=np.float64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import routing
 from repro.core.rewards import RewardModel
 from repro.core.routing import QRouter
 from repro.simulation.state import NetworkState
@@ -155,3 +156,136 @@ class TestRelax:
         _, router = make_router()
         assert router.relax(np.array([], dtype=int), HEADS) == 0
         assert router.relax(np.array([0]), np.array([], dtype=int)) == 0
+
+
+def one_shot_q_block(router, nodes, heads):
+    """The untiled relay-choice block, written out as plain numpy: one
+    einsum distance block, the radio's ``y``, one gathered ``p`` block,
+    and the Eq. (16)-(20) combine as whole-array expressions."""
+    st = router.state
+    targets = np.concatenate([heads, [st.bs_index]]).astype(np.intp)
+    is_bs = targets == st.bs_index
+    pos = st.nodes.positions
+    d = np.empty((nodes.size, targets.size))
+    d[:, is_bs] = st.topology.d_to_bs[nodes][:, None]
+    diff = pos[targets[~is_bs]][None, :, :] - pos[nodes][:, None, :]
+    d[:, ~is_bs] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    radio = st.radio.config
+    amp = router.rewards.bits * np.where(
+        d < radio.d0, radio.eps_fs * d * d, radio.eps_mp * d ** 4
+    )
+    y = amp / router.rewards._cost_ref
+    p = np.asarray(st.link_estimator.estimates[np.ix_(nodes, targets)])
+    e_dst = np.where(is_bs, 0.0, st.ledger.residual[np.where(is_bs, 0, targets)])
+    x_src = router.rewards.x(st.ledger.residual[nodes])[:, None]
+    x_dst = router.rewards.x(e_dst)
+    c = router.rewards.cfg
+    r_s = -c.g + c.alpha1 * (x_src + x_dst) - c.alpha2 * y
+    r_s = r_s - np.where(is_bs, c.bs_penalty, 0.0)
+    r_f = -c.g + c.beta1 * x_src - c.beta2 * y
+    r_t = p * r_s + (1.0 - p) * r_f
+    v_t = router.v.get_many(targets)
+    v_s = router.v.get_many(nodes)[:, None]
+    q = r_t + router.cfg.gamma * (p * v_t + (1.0 - p) * v_s)
+    return q, q.max(axis=1), targets
+
+
+def busy_router(shared, seed=3, **router_kwargs):
+    """A router mid-run: uneven residuals, learned link estimates and a
+    non-trivial V table, so every term of the Q block varies."""
+    config = make_config(n_nodes=60, n_clusters=6, seed=seed,
+                         estimator_shared=shared)
+    state = NetworkState(config)
+    rewards = RewardModel(
+        config.qlearning, state.radio, config.traffic.packet_bits,
+        energy_scale=float(state.ledger.initial.mean()),
+    )
+    router = QRouter(state, rewards, config.qlearning, **router_kwargs)
+    rng = np.random.default_rng(seed)
+    state.ledger.discharge_many(
+        np.arange(state.n), rng.uniform(0.0, 0.15, state.n), "tx"
+    )
+    est = state.link_estimator
+    for _ in range(200):
+        est.update(int(rng.integers(state.n)), int(rng.integers(state.n + 1)),
+                   bool(rng.uniform() < 0.6))
+    router.v.set_many(np.arange(state.n + 1), rng.normal(-5.0, 2.0, state.n + 1))
+    return state, router
+
+
+SENDERS = np.arange(0, 60, 2)[np.arange(0, 60, 2) % 7 != 0]
+BLOCK_HEADS = np.array([7, 14, 21, 28, 35, 42], dtype=np.intp)
+
+
+class TestTiledQBlock:
+    """The tiled block equals the one-shot block bit for bit, for every
+    tile size: q, v_new, targets, picks and protocol-RNG draws."""
+
+    @pytest.fixture(params=[1, 7, "M-1", "M", "M+5"])
+    def tile(self, request, monkeypatch):
+        m = SENDERS.size
+        rows = {"M-1": m - 1, "M": m, "M+5": m + 5}.get(request.param,
+                                                     request.param)
+        monkeypatch.setattr(routing, "tile_rows", lambda *_: rows)
+        return rows
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_q_block_bits(self, tile, shared):
+        _, router = busy_router(shared)
+        want = one_shot_q_block(router, SENDERS, BLOCK_HEADS)
+        got = router._q_block(SENDERS, BLOCK_HEADS)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_dead_head_masked_action_set(self, tile, shared):
+        state, router = busy_router(shared)
+        state.ledger.discharge_many(BLOCK_HEADS[[1, 4]], np.full(2, 10.0), "tx")
+        live = BLOCK_HEADS[state.ledger.alive[BLOCK_HEADS]]
+        assert live.size == BLOCK_HEADS.size - 2
+        want = one_shot_q_block(router, SENDERS, live)
+        got = router._q_block(SENDERS, live)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_bs_only_action_set(self, tile):
+        _, router = busy_router(True)
+        empty = np.array([], dtype=np.intp)
+        q_want, _, t_want = one_shot_q_block(router, SENDERS, empty)
+        q, targets = router.q_values_many(SENDERS, empty)
+        assert q.shape == (SENDERS.size, 1)
+        assert q.tobytes() == q_want.tobytes()
+        assert targets.tobytes() == t_want.tobytes()
+
+    @pytest.mark.parametrize("learning_rate", [None, 0.3])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_picks_v_and_rng_draws(self, tile, shared, learning_rate):
+        """choose_many through the tiles vs the one-shot block fed to the
+        same policy: same relays, same V table, same generator state."""
+        kwargs = dict(epsilon=0.3, learning_rate=learning_rate)
+        _, tiled = busy_router(shared, **kwargs)
+        _, ref = busy_router(shared, **kwargs)
+        rng_tiled = np.random.default_rng(99)
+        rng_ref = np.random.default_rng(99)
+        picks = tiled.choose_many(SENDERS, BLOCK_HEADS, rng=rng_tiled)
+        q, v_new, targets = one_shot_q_block(ref, SENDERS, BLOCK_HEADS)
+        want = targets[ref.policy.select_batch(q, rng_ref)]
+        if learning_rate is not None:
+            old = ref.v.get_many(SENDERS)
+            v_new = old + learning_rate * (v_new - old)
+        assert picks.tobytes() == want.tobytes()
+        assert tiled.v.get_many(SENDERS).tobytes() == v_new.tobytes()
+        assert rng_tiled.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_block_budget_smaller_than_one_tile(shared):
+    """A max_block_mb below one sender row's footprint still tiles
+    (one row at a time) and changes nothing."""
+    state, router = busy_router(shared)
+    assert routing.tile_rows(BLOCK_HEADS.size + 1, 1e-6) == 1
+    state.config = state.config.replace(max_block_mb=1e-6)
+    want = one_shot_q_block(router, SENDERS, BLOCK_HEADS)
+    got = router._q_block(SENDERS, BLOCK_HEADS)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()

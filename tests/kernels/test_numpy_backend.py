@@ -33,7 +33,7 @@ class TestGeometry:
         )
 
     def test_distance_block_row_equals_pairs(self):
-        """The block and pair kernels share the einsum pipeline, so a
+        """The block and pair kernels are both ``euclidean``, so a
         one-row block equals the pairwise call bitwise."""
         src = RNG.uniform(0, 200, (1, 3))
         dst = RNG.uniform(0, 200, (6, 3))
