@@ -4,6 +4,10 @@
   per-(node x round) cost must stay bounded as N grows 16x.
 * Lemma 3 — O(kX) Q-learning: exactly k+1 Q evaluations per V update,
   and the relaxation's update count X measured to convergence.
+* Relay choice across k at fixed N: the full Q block costs O(k) per
+  sender; the pruned greedy path, which scores only the heads a reward
+  bound cannot rule out, must not grow with k.  The fitted exponents
+  are published next to Lemma 3's count.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import pytest
 
 from repro.experiments import (
     measure_qlearning_updates,
+    measure_relay_choice_scaling,
     measure_selection_scaling,
     render_complexity_report,
+    scaling_exponent,
 )
 
 from conftest import publish
@@ -27,8 +33,6 @@ def test_lemma2_selection_scales_linearly(benchmark):
         rounds=1,
         iterations=1,
     )
-    q = measure_qlearning_updates()
-    publish("complexity", render_complexity_report(rows, q))
     # O(RN): the per-(node*round) cost must not *grow* with N.  The
     # vectorized election amortises its fixed overhead, so the unit
     # cost actually falls as N rises — sub-linear is fine, super-linear
@@ -41,6 +45,24 @@ def test_lemma3_q_evaluations_per_update(benchmark):
     row = benchmark.pedantic(measure_qlearning_updates, rounds=1, iterations=1)
     assert row.evaluations_per_update == pytest.approx(row.k + 1)
     assert row.v_updates > 0
+
+
+def test_relay_choice_scaling_in_k(benchmark):
+    """Relay choice per sender for k in {32, ..., 512} at N = 10^4;
+    publishes the E-C1 report with both fitted exponents."""
+    relay = benchmark.pedantic(measure_relay_choice_scaling, rounds=1, iterations=1)
+    publish(
+        "complexity",
+        render_complexity_report(
+            measure_selection_scaling(), measure_qlearning_updates(), relay
+        ),
+    )
+    ks = [r.k for r in relay]
+    block = scaling_exponent(ks, [r.block_s for r in relay])
+    pruned = scaling_exponent(ks, [r.pruned_s for r in relay])
+    assert block > 0.5  # the full block is linear in k, up to overheads
+    assert pruned < 0.5 * block
+    assert relay[-1].pruned_s < relay[-1].block_s
 
 
 def test_lemma3_updates_scale_with_k(benchmark):

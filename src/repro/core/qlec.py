@@ -136,6 +136,7 @@ class QLECProtocol(ClusteringProtocol):
         assert self.router is not None
         heads = np.asarray(heads, dtype=np.intp)
         self.router.ch_backup_many(heads[state.ledger.alive[heads]])
+        self.router.drop_index()
 
     # ------------------------------------------------------------------
     @property

@@ -94,6 +94,25 @@ class RewardModel:
             self.radio.amp(b, distance), dtype=np.float64
         ) / self._cost_ref
 
+    def max_distance(self, cost, bits: float | None = None):
+        """Inverse of :meth:`y`: a distance beyond which every link
+        costs more than ``cost``.
+
+        Below the crossover ``d0`` the cost grows as d², from ``d0`` on
+        as d⁴; the inverse takes the d⁴ root when it lands at or past
+        ``d0`` and the d² root (capped at ``d0``) otherwise, so it holds
+        whether or not the two branches meet exactly at ``d0``.
+        ``y(max_distance(t)) >= t`` up to rounding.
+        """
+        b = self.bits if bits is None else bits
+        radio = self.radio.config
+        per_bit = np.maximum(np.asarray(cost, dtype=np.float64), 0.0) * (
+            self._cost_ref / b
+        )
+        fs = np.sqrt(per_bit / radio.eps_fs)
+        mp = np.sqrt(np.sqrt(per_bit / radio.eps_mp))
+        return np.where(mp >= radio.d0, mp, np.minimum(fs, radio.d0))
+
     # ------------------------------------------------------------------
     def success_reward(
         self,

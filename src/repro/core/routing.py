@@ -20,6 +20,11 @@ apply to heads, whose designated job is the BS uplink.
 Two extensions beyond the paper are provided for the ablation study:
 ``epsilon``-greedy exploration, and a *sampled* TD backup
 (``learning_rate`` is not None) replacing the expected one.
+
+Greedy relay choice over a large action set scores only the heads a
+reward bound cannot rule out (:meth:`QRouter.choose_many`); the picks,
+V updates and tie-break draws are those of the full Q block, bit for
+bit (docs/kernels.md, "Exact candidate pruning").
 """
 
 from __future__ import annotations
@@ -27,17 +32,44 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import QLearningConfig
-from ..kernels.base import budget_rows
+from ..kernels.base import budget_rows, euclidean
+from ..kernels.numpy_backend import expected_q_tree
 from ..rl.policies import EpsilonGreedyPolicy, GreedyPolicy, Policy
 from ..rl.qtable import VTable
 from ..simulation.state import NetworkState
 from .rewards import RewardModel
 
-__all__ = ["QRouter", "TILE_BYTES", "tile_rows"]
+__all__ = ["HeadGrid", "PRUNE_MIN_ACTIONS", "QRouter", "TILE_BYTES", "tile_rows"]
 
 #: Bytes of one ``(rows, k+1)`` float64 plane of a relay-choice tile.
 #: A tile's handful of live planes then fits a per-core L2 cache.
 TILE_BYTES = 256 * 1024
+
+#: Smallest action set (heads plus the BS action) on which greedy relay
+#: choice prunes candidates; smaller sets score the whole tiled block,
+#: which is cheaper there.  Set at the measured crossover
+#: (docs/kernels.md).
+PRUNE_MIN_ACTIONS = 64
+
+#: Rounding allowance of the pruning bound, relative to the magnitudes
+#: of the terms of a row (2**-40, about 8000 units in the last place):
+#: far above the error of the dozen correctly rounded ops behind one q.
+BOUND_SLACK = 2.0**-40
+
+#: Relative widening of every pruning radius; covers the few-ulp
+#: rounding of distances, of ``RewardModel.max_distance`` and of the
+#: triangle inequality.
+RADIUS_MARGIN = 1.0 + 2.0**-30
+
+#: Heads listed per grid cell (the nearest ones).  A query that would
+#: read past the list takes every head; at one cell per head that is
+#: rare (about 0.5% of senders on scale-1e5).
+GRID_DEPTH = 32
+
+#: Cells whose distances to every head are computed at once while
+#: building the index: its temporaries stay a few hundred KiB instead
+#: of growing with cells x heads, i.e. with k².
+GRID_CHUNK = 64
 
 
 def tile_rows(m: int, max_block_mb: float | None = None) -> int:
@@ -48,6 +80,107 @@ def tile_rows(m: int, max_block_mb: float | None = None) -> int:
     if max_block_mb is not None:
         rows = min(rows, budget_rows(m, max_block_mb))
     return max(1, rows)
+
+
+class HeadGrid:
+    """Spatial index of one head set for candidate pruning.
+
+    A uniform grid of about one cell per head covers the heads'
+    bounding box, and each cell lists its :data:`GRID_DEPTH` nearest
+    heads sorted by distance to the cell's centre.  By the triangle
+    inequality, every head within ``r`` of a sender lies within
+    ``r + s`` of the centre of the sender's cell, where ``s`` is the
+    sender's distance to that centre.  This holds for any sender
+    position, inside the box or not, so the index depends on the heads
+    alone.  A query whose ball reaches past the end of a cell's list
+    takes every head.
+    """
+
+    def __init__(self, heads: np.ndarray, positions: np.ndarray) -> None:
+        self.heads = heads.copy()
+        self.positions = positions.copy()
+        k = heads.size
+        self.lo = positions.min(axis=0)
+        span = positions.max(axis=0) - self.lo
+        # About k cubic cells; an axis thinner than a cell gets one.
+        spread = span > 0.0
+        while spread.any():
+            side = (np.prod(span[spread]) / k) ** (1.0 / spread.sum())
+            thin = spread & (span < side)
+            if not thin.any():
+                break
+            spread &= ~thin
+        self.dims = np.ones(3, dtype=np.intp)
+        if spread.any():
+            self.dims[spread] = np.ceil(span[spread] / side)
+        self.cell = np.where(spread, span / self.dims, 1.0)
+        self.strides = np.array(
+            [self.dims[1] * self.dims[2], self.dims[2], 1], dtype=np.intp
+        )
+        axes = [
+            self.lo[a] + (np.arange(self.dims[a]) + 0.5) * self.cell[a]
+            for a in range(3)
+        ]
+        self.centres = np.stack(
+            np.meshgrid(*axes, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        self.depth = min(GRID_DEPTH, k)
+        #: ``order[c]``: the columns of the heads nearest centre ``c``,
+        #: nearest first; ``d[c]`` their distances to it.
+        self.order = np.empty((self.centres.shape[0], self.depth), dtype=np.intp)
+        d = np.empty(self.order.shape, dtype=np.float64)
+        for a in range(0, self.centres.shape[0], GRID_CHUNK):
+            b = a + GRID_CHUNK
+            block = euclidean(self.centres[a:b, None, :], positions[None, :, :])
+            near = np.argpartition(block, self.depth - 1, axis=1)[:, : self.depth]
+            block = np.take_along_axis(block, near, axis=1)
+            by_distance = np.argsort(block, axis=1)
+            self.order[a:b] = np.take_along_axis(near, by_distance, axis=1)
+            d[a:b] = np.take_along_axis(block, by_distance, axis=1)
+        #: Every cell's list back to back, then all heads in column order.
+        self.lists = np.concatenate([self.order.ravel(), np.arange(k)])
+        self.everyone = self.order.size
+        # One sorted key array for every cell: row c is offset by
+        # c * stride, a power of two above twice the largest distance,
+        # so the offsets are exact and rows never interleave.
+        self.stride = 2.0 ** np.ceil(np.log2(2.0 * d.max() + 2.0))
+        rows = np.arange(self.centres.shape[0])
+        self.keys = (d + (rows * self.stride)[:, None]).ravel()
+
+    def matches(self, heads: np.ndarray, positions: np.ndarray) -> bool:
+        return np.array_equal(self.heads, heads) and np.array_equal(
+            self.positions, positions
+        )
+
+    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell of each point (clamped into the grid) and the point's
+        distance to that cell's centre."""
+        idx = np.floor((points - self.lo) / self.cell).astype(np.intp)
+        np.clip(idx, 0, self.dims - 1, out=idx)
+        cells = idx @ self.strides
+        return cells, euclidean(points, self.centres[cells])
+
+    def candidates(
+        self, cells: np.ndarray, radius: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)``: for each query row, grouped by row, a
+        superset of the head columns within ``radius[row]`` of the
+        centre of ``cells[row]``."""
+        count = np.searchsorted(
+            self.keys,
+            cells * self.stride + np.minimum(radius, 0.5 * self.stride),
+            side="right",
+        ) - cells * self.depth
+        start = cells * self.depth
+        if self.depth < self.heads.size:
+            # The ball may reach past the end of the list: every head.
+            full = count >= self.depth
+            count[full] = self.heads.size
+            start[full] = self.everyone
+        rows = np.repeat(np.arange(cells.size), count)
+        first = np.cumsum(count) - count
+        at = np.arange(rows.size) + np.repeat(start - first, count)
+        return rows, self.lists[at]
 
 
 class QRouter:
@@ -69,6 +202,10 @@ class QRouter:
         When given, Q backups become sampled TD updates with this step
         size instead of full expected backups (ablation variant).
     """
+
+    #: Index of the current head set for pruned relay choice: derived
+    #: scratch state, rebuilt on demand and never pickled.
+    _grid: HeadGrid | None = None
 
     def __init__(
         self,
@@ -98,9 +235,20 @@ class QRouter:
         #: Kernel backend for the batched Q block (shared with every
         #: substrate of the state; bit-identical across backends).
         self.kernels = state.kernels
-        #: Number of Q evaluations performed (the per-call k+1 of
-        #: Lemma 3); together with ``v.update_count`` this measures X.
+        #: Number of Q evaluations performed: the logical k+1 per
+        #: sender of Lemma 3, pruned or not; together with
+        #: ``v.update_count`` this measures X.
         self.q_evaluations = 0
+
+    def drop_index(self) -> None:
+        """Release the head index (at round end, when the head set is
+        about to change)."""
+        self._grid = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_grid", None)
+        return state
 
     # ------------------------------------------------------------------
     def action_targets(self, heads: np.ndarray) -> np.ndarray:
@@ -241,18 +389,146 @@ class QRouter:
         so the batch equals the sequential sorted-order loop (the
         engine's canonical order) exactly — including the policy's
         tie-break draws, consumed in row order.
+
+        The greedy policy on at least :data:`PRUNE_MIN_ACTIONS` actions
+        scores only the heads the reward bound cannot rule out
+        (:meth:`_choose_pruned`); every other case scores the whole
+        tiled block.  Both give the same bits.
         """
         nodes = np.asarray(nodes, dtype=np.intp)
         heads = np.asarray(heads, dtype=np.intp)
         if heads.size == 0:
             return np.full(nodes.size, self.state.bs_index, dtype=np.intp)
-        q, v_new, targets = self._q_block(nodes, heads)
+        chosen = None
+        if heads.size + 1 >= PRUNE_MIN_ACTIONS and type(self.policy) is GreedyPolicy:
+            chosen = self._choose_pruned(nodes, heads, rng)
+        if chosen is None:
+            q, v_new, targets = self._q_block(nodes, heads)
+            chosen = targets[self.policy.select_batch(q, rng)], v_new
+        picks, v_new = chosen
         if self.learning_rate is None:
             self.v.set_many(nodes, v_new)
         else:
             old = self.v.get_many(nodes)
             self.v.set_many(nodes, old + self.learning_rate * (v_new - old))
-        return targets[self.policy.select_batch(q, rng)]
+        return picks
+
+    def _score(self, nodes, targets, d, x_src, v_self, is_bs=False) -> np.ndarray:
+        """Exact q of (sender, target) pairs at distances ``d``, laid
+        out in any broadcast shape: the block's ``y`` and Q combine.
+        ``is_bs`` masks the last axis as in :func:`expected_q_tree`."""
+        st = self.state
+        c = self.rewards.cfg
+        # The BS is mains-powered: its x(.) is pinned to 0, as in the block.
+        e_dst = st.ledger.residual[np.where(is_bs, 0, targets)]
+        return expected_q_tree(
+            st.link_estimator.pairs(nodes, targets),
+            self.rewards.y(d),
+            x_src,
+            self.rewards.x(np.where(is_bs, 0.0, e_dst)),
+            is_bs,
+            self.v.get_many(targets),
+            v_self,
+            g=c.g, alpha1=c.alpha1, alpha2=c.alpha2, beta1=c.beta1,
+            beta2=c.beta2, bs_penalty=c.bs_penalty, gamma=self.cfg.gamma,
+        )
+
+    def _choose_pruned(
+        self,
+        nodes: np.ndarray,
+        heads: np.ndarray,
+        rng: np.random.Generator | None,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Greedy Algorithm 4 scoring only the heads that can reach the
+        row max; returns ``(picks, v_new)`` as the full block would, or
+        None when the bound does not apply.
+
+        With ``p`` in [0, 1] and ``alpha1, beta1, gamma >= 0``, every
+        head action obeys ``q_ij <= B_i - min(alpha2, beta2) * y_ij``,
+        ``B_i = -g + max(alpha1 (x_i + max_h x_h), beta1 x_i) + gamma
+        max(max_h V_h, V_i)``.  ``L_i``, the larger exact q of one
+        nearby head and of the BS action, is at most the row max, so a
+        head whose cost exceeds ``(B_i - L_i + slack_i) / min(alpha2,
+        beta2)`` is strictly below the row max: never the argmax, never
+        in the tie set.  The slack covers the rounding of every q and of
+        the bound itself (docs/kernels.md).
+        """
+        st = self.state
+        c = self.rewards.cfg
+        lo_w, hi_w = min(c.alpha2, c.beta2), max(c.alpha2, c.beta2)
+        denom = lo_w - BOUND_SLACK * hi_w
+        if denom <= 0.0:
+            return None
+        grid = self._grid
+        head_pos = st.nodes.positions[heads]
+        if grid is None or not grid.matches(heads, head_pos):
+            grid = self._grid = HeadGrid(heads, head_pos)
+        n, k = nodes.size, heads.size
+        gamma = self.cfg.gamma
+        src = st.nodes.positions[nodes]
+        x_src = self.rewards.x(st.ledger.residual[nodes])
+        v_self = self.v.get_many(nodes)
+        # Two exact columns per sender: the head nearest its cell's
+        # centre, and the BS.
+        cells, d_cell = grid.locate(src)
+        near = grid.order[cells, 0]
+        pair = np.empty((n, 2), dtype=np.intp)
+        pair[:, 0] = heads[near]
+        pair[:, 1] = st.bs_index
+        d = np.empty((n, 2), dtype=np.float64)
+        d[:, 0] = euclidean(src, head_pos[near])
+        d[:, 1] = st.topology.d_to_bs[nodes]
+        q2 = self._score(
+            nodes[:, None], pair, d, x_src[:, None], v_self[:, None],
+            np.array([False, True]),
+        )
+        q_bs = q2[:, 1]
+        floor = q2.max(axis=1)  # L_i <= row max
+        # The bound B_i, and its slack: BOUND_SLACK times the size of
+        # every term a q of this row or the bound adds up.
+        x_heads = self.rewards.x(st.ledger.residual[heads])
+        v_heads = self.v.get_many(heads)
+        own = c.alpha1 * (x_src + x_heads.max())
+        fail = c.beta1 * x_src
+        v_term = gamma * np.maximum(v_heads.max(), v_self)
+        slack = BOUND_SLACK * (
+            abs(c.g) + own + fail + np.abs(floor)
+            + gamma * (np.abs(v_heads).max() + np.abs(v_self))
+        )
+        cost = (np.maximum(own, fail) - c.g + v_term - floor + slack) / denom
+        radius = self.rewards.max_distance(cost) * RADIUS_MARGIN
+        if not np.isfinite(radius).all():
+            return None
+        # Candidates: heads the index cannot place beyond the radius,
+        # then those whose exact distance is within it.
+        rows, cols = grid.candidates(cells, (radius + d_cell) * RADIUS_MARGIN)
+        d = euclidean(src[rows], head_pos[cols])
+        keep = d <= radius[rows]
+        rows, cols, d = rows[keep], cols[keep], d[keep]
+        q = self._score(nodes[rows], heads[cols], d, x_src[rows], v_self[rows])
+        # Row max, first maximiser and tie count over the candidates
+        # and the BS column (column k, after every head).
+        v_new = q_bs.copy()
+        picks = np.full(n, k, dtype=np.intp)
+        ties = np.zeros(n, dtype=np.intp)
+        if rows.size:
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            owner = rows[starts]
+            v_new[owner] = np.maximum(v_new[owner], np.maximum.reduceat(q, starts))
+            hit = q == v_new[rows]
+            picks[owner] = np.minimum.reduceat(np.where(hit, cols, k), starts)
+            ties[owner] = np.add.reduceat(hit, starts)
+        bs_ties = q_bs == v_new
+        ties += bs_ties
+        if rng is not None:
+            for i in np.flatnonzero(ties > 1):
+                mine = rows == i
+                tied = np.sort(cols[mine][q[mine] == v_new[i]])
+                if bs_ties[i]:
+                    tied = np.append(tied, k)
+                picks[i] = rng.choice(tied)
+        self.q_evaluations += n * (k + 1)
+        return self.action_targets(heads)[picks], v_new
 
     def ch_backup(self, head: int) -> None:
         """Algorithm 1, line 15: a head refreshes its V from the BS

@@ -14,10 +14,13 @@ from .lifespan_curve import (
 )
 from .complexity import (
     QLearningCostRow,
+    RelayChoiceRow,
     SelectionScalingRow,
     measure_qlearning_updates,
+    measure_relay_choice_scaling,
     measure_selection_scaling,
     render_complexity_report,
+    scaling_exponent,
 )
 from .fig1 import Fig1View, run_fig1
 from .fig3 import (
@@ -61,6 +64,9 @@ __all__ = [
     "measure_selection_scaling",
     "render_ablation",
     "render_complexity_report",
+    "RelayChoiceRow",
+    "measure_relay_choice_scaling",
+    "scaling_exponent",
     "render_convergence_study",
     "render_sensitivity",
     "run_ablation",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import EQUIVALENCE_CHOICES, KernelBackend, euclidean
 
-__all__ = ["NumpyBackend"]
+__all__ = ["NumpyBackend", "expected_q_tree"]
 
 
 class NumpyBackend(KernelBackend):
@@ -163,29 +163,62 @@ class NumpyBackend(KernelBackend):
         bs_penalty: float,
         gamma: float,
     ) -> tuple[np.ndarray, np.ndarray]:
-        # The contract's expression tree, evaluated in place in three or
-        # four (n, m) buffers.  Every op keeps its operand pair (IEEE +
-        # and * commute exactly), so the buffers change allocations, not
-        # bits.
-        x_src_col = x_src[:, None]
-        q = np.add(x_src_col, x_dst)
-        q *= alpha1
-        q += -g
-        ay = np.multiply(alpha2, y)
-        q -= ay  # r_s
-        bs_cols = np.flatnonzero(is_bs)
-        if bs_cols.size:
-            q[:, bs_cols] -= bs_penalty
-        # r_f = (-g + beta1*x_src) - beta2*y, reusing alpha2*y when equal.
-        r_f = ay if beta2 == alpha2 else np.multiply(beta2, y)
-        np.subtract(-g + beta1 * x_src_col, r_f, out=r_f)
-        q *= p
-        omp = np.subtract(1.0, p)
-        r_f *= omp
-        q += r_f  # r_t = p*r_s + (1-p)*r_f
-        np.multiply(p, v_targets, out=r_f)
-        omp *= v_self[:, None]
-        r_f += omp
-        r_f *= gamma
-        q += r_f  # r_t + gamma*(p*v_targets + (1-p)*v_self)
+        q = expected_q_tree(
+            p, y, x_src[:, None], x_dst, is_bs, v_targets, v_self[:, None],
+            g=g, alpha1=alpha1, alpha2=alpha2, beta1=beta1, beta2=beta2,
+            bs_penalty=bs_penalty, gamma=gamma,
+        )
         return q, q.max(axis=1)
+
+
+def expected_q_tree(
+    p: np.ndarray,
+    y: np.ndarray,
+    x_src: np.ndarray,
+    x_dst: np.ndarray,
+    is_bs: np.ndarray,
+    v_targets: np.ndarray,
+    v_self: np.ndarray,
+    *,
+    g: float,
+    alpha1: float,
+    alpha2: float,
+    beta1: float,
+    beta2: float,
+    bs_penalty: float,
+    gamma: float,
+) -> np.ndarray:
+    """The :meth:`KernelBackend.expected_q` expression tree over
+    broadcast operands: the one definition of the Q combine.
+
+    ``x_src + x_dst`` must already have the output's shape: a
+    ``(senders, actions)`` block passes ``x_src`` and ``v_self`` as
+    columns, matched (sender, action) pairs pass flat arrays.  ``is_bs``
+    masks the last axis.  Every element is the same sequence of
+    correctly rounded ops on its own operands whatever the layout, so a
+    pair scored flat has the bits of its cell in the block.
+    """
+    # Evaluated in place in three or four buffers.  Every op keeps its
+    # operand pair (IEEE + and * commute exactly), so the buffers change
+    # allocations, not bits.
+    q = np.add(x_src, x_dst)
+    q *= alpha1
+    q += -g
+    ay = np.multiply(alpha2, y)
+    q -= ay  # r_s
+    bs_cols = np.flatnonzero(is_bs)
+    if bs_cols.size:
+        q[..., bs_cols] -= bs_penalty
+    # r_f = (-g + beta1*x_src) - beta2*y, reusing alpha2*y when equal.
+    r_f = ay if beta2 == alpha2 else np.multiply(beta2, y)
+    np.subtract(-g + beta1 * x_src, r_f, out=r_f)
+    q *= p
+    omp = np.subtract(1.0, p)
+    r_f *= omp
+    q += r_f  # r_t = p*r_s + (1-p)*r_f
+    np.multiply(p, v_targets, out=r_f)
+    omp *= v_self
+    r_f += omp
+    r_f *= gamma
+    q += r_f  # r_t + gamma*(p*v_targets + (1-p)*v_self)
+    return q

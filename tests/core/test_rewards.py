@@ -121,3 +121,47 @@ class TestEq16ExpectedReward:
         m = make_model()
         with pytest.raises(ValueError):
             m.expected_reward(1.5, 1.0, 1.0, 50.0)
+
+
+class TestMaxDistance:
+    """``max_distance`` inverts ``y`` across the d^2 / d^4 crossover."""
+
+    @staticmethod
+    def models():
+        yield RewardModel(QLearningConfig(), FirstOrderRadio(RadioConfig()), BITS)
+        yield make_model()
+        # A radio with a shorter crossover.
+        yield RewardModel(
+            QLearningConfig(),
+            FirstOrderRadio(RadioConfig(eps_mp=0.0026e-12)),
+            BITS,
+        )
+
+    @pytest.mark.parametrize("scale", [1e-9, 0.3, 0.97, 1.0, 1.03, 3.0, 1e6])
+    def test_inverts_y(self, scale):
+        """Both branches and the crossover: y(max_distance(t)) >= t up
+        to rounding, and the root sits on the branch t falls on."""
+        for m in self.models():
+            d0 = m.radio.d0
+            t = float(m.y(d0)) * scale
+            d = float(m.max_distance(t))
+            assert float(m.y(d)) >= t * (1 - 4e-16)
+            assert (d >= d0) == (scale >= 1.0)
+
+    def test_at_d0(self):
+        for m in self.models():
+            d0 = m.radio.d0
+            assert float(m.max_distance(m.y(d0))) == pytest.approx(d0, rel=1e-15)
+
+    def test_beyond_the_radius_costs_more(self):
+        for m in self.models():
+            t = np.geomspace(1e-12, 1e6, 200)
+            d = m.max_distance(t)
+            assert np.all(m.y(d * (1 + 1e-12)) > t)
+            assert m.max_distance(0.0) == 0.0
+            assert m.max_distance(-1.0) == 0.0
+
+    def test_compressed_bits(self):
+        m = RewardModel(QLearningConfig(), FirstOrderRadio(RadioConfig()), BITS)
+        t = 0.5
+        assert float(m.y(m.max_distance(t, bits=400), bits=400)) == pytest.approx(t)
