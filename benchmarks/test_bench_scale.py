@@ -28,15 +28,16 @@ from tests.conftest import make_config
 
 from conftest import publish, publish_json
 
-#: Nodes x rounds per second.  Measured ~330-440k on a 2-vCPU Xeon
-#: (2.1 GHz) host with exact candidate pruning in relay choice (~100k
-#: with the tiled Q block alone, ~30k before tiling); the floor leaves
+#: Nodes x rounds per second.  Measured ~350-480k on a 2-vCPU Xeon
+#: (2.1 GHz) host with the exact spaced CH election (~330-440k with
+#: candidate pruning in relay choice alone, ~100k with the tiled Q
+#: block alone, ~30k before tiling); the floor leaves
 #: ample headroom for slower CI runners, and the committed
 #: BENCH_scale.json carries the relative regression gate.
 THROUGHPUT_FLOOR = 4_000.0
 
 #: Peak RSS ceiling in MiB.  An unblocked N x k distance matrix alone
-#: is ~250 MiB and an O(N^2) one ~80 GiB; the measured peak is ~76 MiB
+#: is ~250 MiB and an O(N^2) one ~80 GiB; the measured peak is ~75.5 MiB
 #: total (~105 MiB with the tiled Q block, ~240 MiB before tiling), so
 #: 2 GiB proves the working set stays linear in N.
 RSS_CEILING_MB = 2_048.0
