@@ -36,15 +36,6 @@ def _config():
     )
 
 
-def _round_aggregates(rs):
-    p = rs.packets
-    return (
-        rs.n_heads, rs.n_alive, rs.energy_consumed, p.generated,
-        p.delivered, p.dropped_channel, p.dropped_queue, p.dropped_dead,
-        p.expired, p.total_latency_slots, p.total_hops, rs.mean_queue_peak,
-    )
-
-
 def _best_round_time(cfg, backend, repeats=3):
     best, aggregates = float("inf"), None
     for _ in range(repeats):
@@ -52,7 +43,7 @@ def _best_round_time(cfg, backend, repeats=3):
         t0 = time.perf_counter()
         rs = engine.run_round()
         best = min(best, time.perf_counter() - t0)
-        aggregates = _round_aggregates(rs)
+        aggregates = rs.row()
     return best, aggregates
 
 

@@ -90,15 +90,6 @@ def _slot_kernel_config():
     )
 
 
-def _round_aggregates(rs):
-    p = rs.packets
-    return (
-        rs.n_heads, rs.n_alive, rs.energy_consumed, p.generated,
-        p.delivered, p.dropped_channel, p.dropped_queue, p.dropped_dead,
-        p.expired, p.total_latency_slots, p.total_hops, rs.mean_queue_peak,
-    )
-
-
 def test_slot_kernel_round_n2896(benchmark):
     """One full ``run_round`` of the batched kernel at scale."""
     from repro.simulation.engine import SimulationEngine
@@ -197,7 +188,7 @@ def test_slot_kernel_speedup_and_identity():
             rs = engine.run_round()
             best = min(best, time.perf_counter() - t0)
         timings[batched] = best
-        aggregates[batched] = _round_aggregates(rs)
+        aggregates[batched] = rs.row()
     assert aggregates[True] == aggregates[False]
     speedup = timings[False] / timings[True]
     publish_json(

@@ -56,15 +56,6 @@ def _scale_config(max_block_mb=MAX_BLOCK_MB, rounds=ROUNDS):
     )
 
 
-def _round_aggregates(rs):
-    p = rs.packets
-    return (
-        rs.n_heads, rs.n_alive, rs.energy_consumed, p.generated,
-        p.delivered, p.dropped_channel, p.dropped_queue, p.dropped_dead,
-        p.expired, p.total_latency_slots, p.total_hops, rs.mean_queue_peak,
-    )
-
-
 def test_scale_100k_nodes_blocked():
     cfg = _scale_config()
     engine = SimulationEngine(cfg, QLECProtocol(), batched=True)
@@ -133,7 +124,7 @@ def test_scale_blocked_round_identical_to_unblocked():
     for budget in (MAX_BLOCK_MB, None):
         cfg = _scale_config(max_block_mb=budget, rounds=1)
         rs = SimulationEngine(cfg, QLECProtocol(), batched=True).run_round()
-        aggregates[budget] = _round_aggregates(rs)
+        aggregates[budget] = rs.row()
     assert aggregates[MAX_BLOCK_MB] == aggregates[None], (
         "blocked N=1e5 round diverged from the unblocked reference"
     )

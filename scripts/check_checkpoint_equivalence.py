@@ -4,10 +4,11 @@
 The headline invariant of ``repro.checkpoint``: a run that is SIGKILLed
 at an arbitrary round and resumed from its newest valid round-boundary
 snapshot produces the *same* ``SimulationResult`` — summary, per-round
-trace rows, faults, routing summary, and telemetry deterministic-view —
-as a run that was never interrupted.  Checked for both the scalar and
-batched engines with a fault plan and tree routing active, i.e. every
-RNG stream (protocol, faults, routing) must survive the round trip.
+trace rows, the run-total latency sample, faults, routing summary, and
+telemetry deterministic-view — as a run that was never interrupted.
+Checked for both the scalar and batched engines with a fault plan and
+tree routing active, i.e. every RNG stream (protocol, faults, routing)
+must survive the round trip.
 
 Also checks the null path: a run with checkpointing enabled is
 bit-identical to one without (snapshots are pure observation).
@@ -88,6 +89,10 @@ def compare(resumed, reference, resumed_tel, reference_tel, leg: str) -> int:
         return fail(f"{leg}: resumed summary diverged")
     if round_rows(resumed) != round_rows(reference):
         return fail(f"{leg}: resumed per-round trace rows diverged")
+    got = resumed.packets.latency_sample
+    want = reference.packets.latency_sample
+    if got.count != want.count or got.values.tobytes() != want.values.tobytes():
+        return fail(f"{leg}: resumed run-total latency sample diverged")
     if resumed.faults != reference.faults:
         return fail(f"{leg}: resumed fault report diverged")
     if resumed.extras.get("routing") != reference.extras.get("routing"):

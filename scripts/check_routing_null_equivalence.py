@@ -45,31 +45,6 @@ def fail(msg: str) -> int:
     return 1
 
 
-def trace_rows(result) -> list[dict]:
-    rows = []
-    for rs in result.per_round:
-        p = rs.packets
-        rows.append(
-            {
-                "round": rs.round_index,
-                "n_heads": rs.n_heads,
-                "n_alive": rs.n_alive,
-                "energy": rs.energy_consumed,
-                "generated": p.generated,
-                "delivered": p.delivered,
-                "dropped_channel": p.dropped_channel,
-                "dropped_queue": p.dropped_queue,
-                "dropped_dead": p.dropped_dead,
-                "expired": p.expired,
-                "latency_slots": p.total_latency_slots,
-                "hops": p.total_hops,
-                "mean_queue_peak": rs.mean_queue_peak,
-                "v_updates": rs.v_updates,
-            }
-        )
-    return rows
-
-
 def rows_match(got: list[dict], want: list[dict]) -> bool:
     """Same comparison contract as tests/simulation/test_golden_trace.py:
     exact on every integer field, rel=1e-9 on floats."""
@@ -99,7 +74,7 @@ def check_golden_equivalence() -> int:
             return fail(f"{name}: direct run grew a routing summary")
         if trace.paths:
             return fail(f"{name}: direct run emitted path records")
-        if not rows_match(trace_rows(result), golden[name]):
+        if not rows_match([rs.row() for rs in result.per_round], golden[name]):
             return fail(
                 f"{name}: routing=direct run diverged from the golden "
                 "trace — the inert-router path is not bit-identical"

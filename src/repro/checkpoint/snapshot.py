@@ -5,8 +5,8 @@ A checkpoint is the *complete* run state of a
 — the ``NetworkState`` arrays, every RNG stream (traffic, channel,
 protocol, engine, mobility, harvest, fault, and routing), protocol and
 Q-table state, routing tables and trees, the fault injector's cursor,
-telemetry/tracer state, and the round/latency accumulators — serialized
-as a single file::
+telemetry/tracer state, the counters-only round history, and the run
+totals with their latency sample — serialized as a single file::
 
     header JSON line \\n pickle payload
 
@@ -30,20 +30,22 @@ having stopped.  numpy ``Generator`` objects pickle their exact stream
 position; in-graph aliases (the state's RNG streams shared with the
 traffic source and fault injector, the channel's telemetry binding,
 the registry's phase-timer cache) are preserved by the pickle memo;
-and kernel backends are swapped for persistent IDs and re-resolved
-from the process-local registry on load — compiled backends are never
-serialized, and the registry's bit-identical contract makes the swap
-invisible.  ``scripts/check_checkpoint_equivalence.py`` enforces the
-guarantee end-to-end in CI: SIGKILL at an arbitrary round, resume, and
-the final result, golden trace, and telemetry deterministic-view match
-the uninterrupted run bit for bit.
+and kernel backends reduce to their registry ``(name, equivalence)``
+and are re-resolved through ``get_backend`` on load — compiled
+backends are never serialized, and the registry's bit-identical
+contract makes the swap invisible.  The payload is written and read by
+the plain (C) pickler, and its size and write time depend on the
+engine's state, not on how many rounds it has run.
+``scripts/check_checkpoint_equivalence.py`` enforces the guarantee
+end-to-end in CI: SIGKILL at an arbitrary round, resume, and the final
+result, golden trace, run-total latency sample, and telemetry
+deterministic-view match the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
 
 import glob as _glob
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -74,7 +76,9 @@ __all__ = [
 CHECKPOINT_KIND = "engine-checkpoint"
 
 #: Bump when the header or payload layout changes incompatibly.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2: the round history holds counters only, and kernel
+#: backends pickle through ``KernelBackend.__reduce__``.
+CHECKPOINT_SCHEMA = 2
 
 #: Snapshot filename suffix (``<tag>-r<round:08d>.ckpt``).
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -138,46 +142,6 @@ class DrainInterrupted(Exception):
         )
 
 
-class _EnginePickler(pickle.Pickler):
-    """Swaps raw kernel-backend instances for registry persistent IDs.
-
-    Compiled backends (numba dispatch tables) are not picklable and
-    would be wasteful to serialize anyway: backends are process-local
-    singletons with a bit-identical contract, so identity by
-    ``(name, equivalence)`` is all a snapshot needs.
-    :class:`~repro.kernels.ProfiledBackend` wrappers pickle normally —
-    they carry per-run counter caches — and their *inner* backend is
-    intercepted here like any other reference, so aliasing between the
-    engine, state, and substrates survives the roundtrip.
-    """
-
-    def persistent_id(self, obj):
-        from ..kernels import KernelBackend, ProfiledBackend
-
-        if isinstance(obj, KernelBackend) and not isinstance(
-            obj, ProfiledBackend
-        ):
-            return ("kernel-backend", obj.name, obj.equivalence)
-        return None
-
-
-class _EngineUnpickler(pickle.Unpickler):
-    def persistent_load(self, pid):
-        from ..kernels import get_backend
-
-        try:
-            kind, name, equivalence = pid
-        except (TypeError, ValueError):
-            raise CheckpointCorruptError(
-                f"unknown persistent reference {pid!r}"
-            ) from None
-        if kind != "kernel-backend":
-            raise CheckpointCorruptError(
-                f"unknown persistent reference kind {kind!r}"
-            )
-        return get_backend(name, equivalence)
-
-
 def run_signature(engine: "SimulationEngine") -> dict:
     """The run-shape knobs that live *outside* the config but change
     the executed stream or the result surface.
@@ -209,9 +173,7 @@ def write_checkpoint(engine: "SimulationEngine", path) -> dict:
     from ..telemetry.manifest import config_fingerprint
 
     path = Path(path)
-    buf = io.BytesIO()
-    _EnginePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(engine)
-    payload = buf.getvalue()
+    payload = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
     header = {
         "kind": CHECKPOINT_KIND,
         "schema": CHECKPOINT_SCHEMA,
@@ -318,7 +280,7 @@ def read_checkpoint(
             f"{path}: snapshot run shape {header['run']} does not match "
             f"the resuming run {run}"
         )
-    engine = _EngineUnpickler(io.BytesIO(payload)).load()
+    engine = pickle.loads(payload)
     return header, engine
 
 

@@ -298,5 +298,18 @@ class KernelBackend(abc.ABC):
         tabular V update; max is exact, so fusing it is free).
         """
 
+    def __reduce__(self):
+        """Pickle by registry identity, not by value.
+
+        Backends are process-local singletons with a bit-identical
+        contract, so ``(name, equivalence)`` is all a pickle needs; the
+        unpickling process resolves it through :func:`get_backend`
+        (raising :class:`BackendUnavailableError` where the backend
+        cannot run), and compiled kernel tables are never serialized.
+        """
+        from .registry import get_backend
+
+        return get_backend, (self.name, self.equivalence)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

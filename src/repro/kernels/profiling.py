@@ -50,6 +50,11 @@ class ProfiledBackend(KernelBackend):
         ``kernel`` span per invocation.
     """
 
+    #: Unlike a bare backend, the wrapper pickles by value: its counter
+    #: caches are per-run state.  Its ``inner`` backend still reduces
+    #: by name through :meth:`KernelBackend.__reduce__`.
+    __reduce__ = object.__reduce__
+
     def __init__(self, inner: KernelBackend, registry=None, tracer=None) -> None:
         self.inner = inner
         self.registry = registry

@@ -12,6 +12,7 @@ from .node import BaseStation, Node, NodeArray
 from .packet import (
     LatencyReservoir,
     PacketArena,
+    PacketCounts,
     PacketRecord,
     PacketStats,
     PacketStatus,
@@ -27,6 +28,7 @@ __all__ = [
     "Node",
     "NodeArray",
     "PacketArena",
+    "PacketCounts",
     "PacketRecord",
     "PacketStats",
     "PacketStatus",

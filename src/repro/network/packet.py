@@ -14,15 +14,16 @@ to a free list and are reused, so a congested million-packet run keeps
 a small, stable working set.
 
 :class:`PacketRecord` survives as the *scalar snapshot* of one arena
-row — handy in tests and debugging — and :class:`PacketStats` holds the
-aggregate counters; its latency distribution is a bounded reservoir
-sample (:class:`LatencyReservoir`) rather than an unbounded list.
+row — handy in tests and debugging.  :class:`PacketCounts` holds the
+aggregate counters, and :class:`PacketStats` adds their latency
+distribution as a bounded reservoir sample (:class:`LatencyReservoir`)
+rather than an unbounded list.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "PacketRecord",
     "PacketArena",
     "LatencyReservoir",
+    "PacketCounts",
     "PacketStats",
 ]
 
@@ -318,13 +320,13 @@ class LatencyReservoir:
 
 
 @dataclass
-class PacketStats:
-    """Aggregate packet counters for a simulation (or one round).
+class PacketCounts:
+    """The eight packet counters and what derives from them.
 
-    This is the **single source of truth** for drop accounting: queue
-    overflow, channel loss, dead-target loss, and expiry are counted
-    here (and only here) by the engine; the queueing substrate keeps no
-    shadow counters.
+    The engine keeps one of these per completed round
+    (``RoundStats.packets``): a round's latency sample is folded into
+    the run totals' reservoir and not kept, so the round history — and
+    every snapshot that pickles it — grows by a few counters a round.
     """
 
     generated: int = 0
@@ -335,12 +337,6 @@ class PacketStats:
     expired: int = 0
     total_latency_slots: int = 0
     total_hops: int = 0
-    latency_sample: LatencyReservoir = field(default_factory=LatencyReservoir)
-
-    @property
-    def latencies(self) -> list[int]:
-        """Sampled delivery latencies (exact below the reservoir cap)."""
-        return [int(x) for x in self.latency_sample.values]
 
     @property
     def dropped(self) -> int:
@@ -373,6 +369,31 @@ class PacketStats:
             return 0.0
         return self.total_hops / self.delivered
 
+
+@dataclass
+class PacketStats(PacketCounts):
+    """Packet counters plus a bounded latency sample: the accumulator
+    of one round in flight, and of the run totals.
+
+    This is the **single source of truth** for drop accounting: queue
+    overflow, channel loss, dead-target loss, and expiry are counted
+    here (and only here) by the engine; the queueing substrate keeps no
+    shadow counters.
+    """
+
+    latency_sample: LatencyReservoir = field(default_factory=LatencyReservoir)
+
+    def counts(self) -> PacketCounts:
+        """The counters alone, without the latency sample."""
+        return PacketCounts(
+            *(getattr(self, f.name) for f in fields(PacketCounts))
+        )
+
+    @property
+    def latencies(self) -> list[int]:
+        """Sampled delivery latencies (exact below the reservoir cap)."""
+        return [int(x) for x in self.latency_sample.values]
+
     def record_delivery(self, latency_slots: int, hops: int) -> None:
         if latency_slots < 0:
             raise ValueError("latency cannot be negative")
@@ -395,14 +416,8 @@ class PacketStats:
 
     def merge(self, other: "PacketStats") -> None:
         """Fold ``other`` into this accumulator (round -> run rollup)."""
-        self.generated += other.generated
-        self.delivered += other.delivered
-        self.dropped_channel += other.dropped_channel
-        self.dropped_queue += other.dropped_queue
-        self.dropped_dead += other.dropped_dead
-        self.expired += other.expired
-        self.total_latency_slots += other.total_latency_slots
-        self.total_hops += other.total_hops
+        for f in fields(PacketCounts):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         self.latency_sample.merge(other.latency_sample)
 
     def validate(self) -> None:

@@ -879,7 +879,7 @@ class SimulationEngine:
             n_heads=int(heads.size),
             n_alive=st.ledger.n_alive,
             energy_consumed=st.ledger.total_spent - energy_before,
-            packets=stats,
+            packets=stats.counts(),
             mean_queue_peak=float(peaks.mean()) if peaks.size else 0.0,
             v_updates=getattr(self.protocol, "v_update_count", 0) - v_before,
         )

@@ -13,26 +13,47 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..network.packet import PacketStats
+from ..network.packet import PacketCounts, PacketStats
 
 __all__ = ["RoundStats", "SimulationResult"]
 
 
 @dataclass
 class RoundStats:
-    """Snapshot of one simulation round."""
+    """Snapshot of one simulation round (counters only)."""
 
     round_index: int
     n_heads: int
     n_alive: int
     energy_consumed: float
-    packets: PacketStats
+    packets: PacketCounts
     mean_queue_peak: float = 0.0
     v_updates: int = 0
 
     @property
     def delivery_rate(self) -> float:
         return self.packets.delivery_rate
+
+    def row(self) -> dict:
+        """The round as one flat record, keyed like the golden per-round
+        traces (``tests/simulation/golden_trace.json``)."""
+        p = self.packets
+        return {
+            "round": self.round_index,
+            "n_heads": self.n_heads,
+            "n_alive": self.n_alive,
+            "energy": self.energy_consumed,
+            "generated": p.generated,
+            "delivered": p.delivered,
+            "dropped_channel": p.dropped_channel,
+            "dropped_queue": p.dropped_queue,
+            "dropped_dead": p.dropped_dead,
+            "expired": p.expired,
+            "latency_slots": p.total_latency_slots,
+            "hops": p.total_hops,
+            "mean_queue_peak": self.mean_queue_peak,
+            "v_updates": self.v_updates,
+        }
 
 
 @dataclass

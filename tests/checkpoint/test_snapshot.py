@@ -8,6 +8,7 @@ the in-process resume identity.
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -27,6 +28,14 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 from repro.config import RoutingConfig, paper_config
+from repro.kernels import (
+    BackendUnavailableError,
+    NumpyBackend,
+    ProfiledBackend,
+    get_backend,
+    register_backend,
+)
+from repro.network.packet import PacketCounts
 from repro.simulation import SimulationEngine
 from repro.telemetry import Telemetry
 from repro.telemetry.manifest import config_fingerprint
@@ -45,10 +54,10 @@ def _config(rounds=8, seed=3, faults=None, routing="direct"):
     return config
 
 
-def _engine(config, *, batched=True, telemetry=False):
+def _engine(config, *, batched=True, telemetry=False, **kwargs):
     tel = Telemetry() if telemetry else None
     return SimulationEngine(
-        config, PROTOCOLS["qlec"](), batched=batched, telemetry=tel
+        config, PROTOCOLS["qlec"](), batched=batched, telemetry=tel, **kwargs
     )
 
 
@@ -81,6 +90,10 @@ class TestRoundtripIdentity:
 
         assert resumed.summary() == expected.summary()
         assert _round_stats(resumed) == _round_stats(expected)
+        got = resumed.packets.latency_sample
+        want = expected.packets.latency_sample
+        assert got.count == want.count
+        assert got.values.tobytes() == want.values.tobytes()
         assert deterministic_view(
             restored.telemetry.snapshot()
         ) == deterministic_view(baseline.telemetry.snapshot())
@@ -112,6 +125,86 @@ class TestRoundtripIdentity:
         _, mid_engine = read_checkpoint(older)
         resumed = mid_engine.run()
         assert resumed.summary() == expected.summary()
+
+
+class TestSnapshotCost:
+    def test_snapshot_size_is_flat_in_round_index(self, tmp_path):
+        engine = _engine(_config(rounds=50))
+        sizes = {}
+        for completed in range(1, 51):
+            engine.run_round()
+            if completed in (5, 50):
+                header = write_checkpoint(
+                    engine, tmp_path / f"run-r{completed:08d}{CHECKPOINT_SUFFIX}"
+                )
+                sizes[completed] = header["payload_bytes"]
+        # A round adds a few counters (~150 B), never a latency sample.
+        assert sizes[50] - sizes[5] <= 256 * (50 - 5), sizes
+
+    def test_round_history_holds_counters_only(self):
+        result = _engine(_config(rounds=4)).run()
+        assert result.per_round
+        assert all(type(rs.packets) is PacketCounts for rs in result.per_round)
+        assert b"LatencyReservoir" not in pickle.dumps(result.per_round)
+        assert result.packets.latency_sample.count == result.packets.delivered
+
+
+class TestBackendByName:
+    def _roundtrip(self, engine, tmp_path):
+        path = tmp_path / f"run-r00000001{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        return read_checkpoint(path)[1]
+
+    def test_restored_backend_is_the_registry_singleton(self, tmp_path):
+        engine = _engine(_config(rounds=3))
+        engine.run_round()
+        restored = self._roundtrip(engine, tmp_path)
+        singleton = get_backend(engine.kernels.name, engine.kernels.equivalence)
+        assert restored.kernels is singleton
+        assert restored.state.kernels is singleton
+
+    def test_profiled_backend_keeps_its_counters(self, tmp_path):
+        engine = SimulationEngine(
+            _config(rounds=3), PROTOCOLS["qlec"](),
+            telemetry=Telemetry(profile_kernels=True),
+        )
+        engine.run_round()
+        restored = self._roundtrip(engine, tmp_path)
+        wrapper = restored.kernels
+        assert type(wrapper) is ProfiledBackend
+        assert wrapper.inner is get_backend(
+            engine.kernels.name, engine.kernels.equivalence
+        )
+        assert wrapper.registry is restored.telemetry.registry
+
+        def kernel_counts(eng):
+            snap = eng.telemetry.registry.snapshot()
+            return {k: v for k, v in snap.items() if k.startswith("prof/kernels/")}
+
+        assert kernel_counts(restored)
+        assert kernel_counts(restored) == kernel_counts(engine)
+        # The cached counters alias the restored registry, so the next
+        # round keeps counting into the same totals.
+        engine.run_round()
+        restored.run_round()
+        assert kernel_counts(restored) == kernel_counts(engine)
+
+    def test_restore_without_the_backend_refuses(self, tmp_path, clean_registry):
+        class GhostBackend(NumpyBackend):
+            name = "ghost"
+
+        register_backend("ghost", GhostBackend)
+        engine = _engine(_config(rounds=3), backend="ghost")
+        engine.run_round()
+        path = tmp_path / f"run-r00000001{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+
+        def missing():
+            raise BackendUnavailableError("ghost is not installed here")
+
+        register_backend("ghost", missing, override=True)
+        with pytest.raises(BackendUnavailableError, match="ghost"):
+            read_checkpoint(path)
 
 
 class TestDrain:
@@ -199,6 +292,12 @@ class TestRefusalTaxonomy:
     def test_cross_version_refused_before_deserializing(self, snapshot):
         self._rewrite_header(snapshot, version="0.0.0-other")
         with pytest.raises(CheckpointVersionError, match="0.0.0-other"):
+            read_checkpoint(snapshot)
+
+    def test_schema_1_snapshot_refused(self, snapshot):
+        # Schema 1 pickled a latency reservoir into every history round.
+        self._rewrite_header(snapshot, schema=1)
+        with pytest.raises(CheckpointVersionError, match="schema 1"):
             read_checkpoint(snapshot)
 
     def test_unknown_schema_refused(self, snapshot):

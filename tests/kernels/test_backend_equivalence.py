@@ -133,15 +133,7 @@ class TestEngineEquivalence:
             result = SimulationEngine(
                 cfg, PROTOCOLS[protocol](), backend=backend
             ).run()
-            return [
-                (
-                    rs.round_index, rs.n_heads, rs.n_alive,
-                    rs.energy_consumed, rs.packets.generated,
-                    rs.packets.delivered, rs.packets.dropped_channel,
-                    rs.packets.dropped_queue, rs.packets.total_latency_slots,
-                )
-                for rs in result.per_round
-            ]
+            return [rs.row() for rs in result.per_round]
 
         assert rounds("numpy") == rounds("numba")
 

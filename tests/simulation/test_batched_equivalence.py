@@ -29,18 +29,7 @@ from tests.conftest import make_config
 
 
 def fingerprint(result):
-    rows = []
-    for rs in result.per_round:
-        p = rs.packets
-        rows.append(
-            (
-                rs.round_index, rs.n_heads, rs.n_alive, rs.energy_consumed,
-                p.generated, p.delivered, p.dropped_channel, p.dropped_queue,
-                p.dropped_dead, p.expired, p.total_latency_slots,
-                p.total_hops, rs.mean_queue_peak, rs.v_updates,
-            )
-        )
-    return rows
+    return [rs.row() for rs in result.per_round]
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

@@ -32,28 +32,7 @@ def trace(protocol_name: str, backend: str = "numpy") -> list[dict]:
     result = SimulationEngine(
         cfg, PROTOCOLS[protocol_name](), backend=backend
     ).run()
-    rows = []
-    for rs in result.per_round:
-        p = rs.packets
-        rows.append(
-            {
-                "round": rs.round_index,
-                "n_heads": rs.n_heads,
-                "n_alive": rs.n_alive,
-                "energy": rs.energy_consumed,
-                "generated": p.generated,
-                "delivered": p.delivered,
-                "dropped_channel": p.dropped_channel,
-                "dropped_queue": p.dropped_queue,
-                "dropped_dead": p.dropped_dead,
-                "expired": p.expired,
-                "latency_slots": p.total_latency_slots,
-                "hops": p.total_hops,
-                "mean_queue_peak": rs.mean_queue_peak,
-                "v_updates": rs.v_updates,
-            }
-        )
-    return rows
+    return [rs.row() for rs in result.per_round]
 
 
 # Every available kernel backend must reproduce the pinned traces —
