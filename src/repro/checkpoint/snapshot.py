@@ -5,8 +5,9 @@ A checkpoint is the *complete* run state of a
 — the ``NetworkState`` arrays, every RNG stream (traffic, channel,
 protocol, engine, mobility, harvest, fault, and routing), protocol and
 Q-table state, routing tables and trees, the fault injector's cursor,
-telemetry/tracer state, the counters-only round history, and the run
-totals with their latency sample — serialized as a single file::
+the instrument handle with its registry and span sink, the
+counters-only round history, and the run totals with their latency
+sample — serialized as a single file::
 
     header JSON line \\n pickle payload
 
@@ -29,9 +30,12 @@ Restoring a snapshot and finishing the run is bit-identical to never
 having stopped.  numpy ``Generator`` objects pickle their exact stream
 position; in-graph aliases (the state's RNG streams shared with the
 traffic source and fault injector, the channel's telemetry binding,
-the registry's phase-timer cache) are preserved by the pickle memo;
-and kernel backends reduce to their registry ``(name, equivalence)``
-and are re-resolved through ``get_backend`` on load — compiled
+the registry's phase-timer cache, the span sink shared by the
+instrument handle, kernel wrapper and fault injector) are preserved by
+the pickle memo; derived geometry (``Topology``'s node->BS distances)
+is recomputed on load by the same call that built it; and kernel
+backends reduce to their registry ``(name, equivalence)`` and are
+re-resolved through ``get_backend`` on load — compiled
 backends are never serialized, and the registry's bit-identical
 contract makes the swap invisible.  The payload is written and read by
 the plain (C) pickler, and its size and write time depend on the
@@ -77,8 +81,11 @@ CHECKPOINT_KIND = "engine-checkpoint"
 
 #: Bump when the header or payload layout changes incompatibly.
 #: Schema 2: the round history holds counters only, and kernel
-#: backends pickle through ``KernelBackend.__reduce__``.
-CHECKPOINT_SCHEMA = 2
+#: backends pickle through ``KernelBackend.__reduce__``.  Schema 3: the
+#: engine's one instrument handle carries the span sink
+#: (``Telemetry.spans``; no ``engine.tracer``), and ``Topology`` drops
+#: its derived node->BS distances, recomputing them on restore.
+CHECKPOINT_SCHEMA = 3
 
 #: Snapshot filename suffix (``<tag>-r<round:08d>.ckpt``).
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -155,8 +162,8 @@ def run_signature(engine: "SimulationEngine") -> dict:
         "protocol": engine.protocol.name,
         "stop_on_death": bool(engine.stop_on_death),
         "batched": bool(engine.batched),
-        "telemetry": bool(engine.telemetry.enabled),
-        "tracer": bool(engine.tracer.enabled),
+        "telemetry": engine.telemetry.registry is not None,
+        "tracer": engine.telemetry.spans is not None,
         "trace": engine.trace is not None,
     }
 

@@ -595,7 +595,7 @@ def _cmd_resume(args) -> int:
             )
             return 0
     print(render_table([result.summary()], title=f"resumed run {tag!r}"))
-    if engine.telemetry.enabled:
+    if engine.telemetry.registry is not None:
         print()
         print(render_telemetry(engine.telemetry.snapshot()))
     return 0

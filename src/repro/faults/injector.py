@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..telemetry.trace import NULL_TRACER
 from .plan import FaultEvent, FaultPlan
 
 __all__ = ["NULL_INJECTOR", "NullInjector", "PlanInjector"]
@@ -70,7 +69,7 @@ class PlanInjector:
         self.rng = rng
         self.n = n
         self.bs_index = bs_index
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.recovering = plan.recovery
         self.retry_budget = plan.retry_budget
         self.backoff_base = plan.backoff_base
@@ -133,9 +132,8 @@ class PlanInjector:
             self.absorbed += 1
         self.events_by_kind[ev.kind] = self.events_by_kind.get(ev.kind, 0) + 1
         self.fault_rounds.add(rnd)
-        trc = self.tracer
-        if trc.enabled:
-            trc.instant(
+        if self.tracer is not None:
+            self.tracer.instant(
                 f"fault/{ev.kind}",
                 cat="fault",
                 args={"round": int(rnd), "killed": int(killed)},

@@ -18,8 +18,8 @@ inner backend unchanged (``distance_block_blocked`` delegates the
 ``name``/``equivalence`` attributes proxy the inner instance, and no
 hook touches an RNG stream — profiled runs are bit-identical to bare
 ones.  The engine only wraps when profiling is requested
-(``Telemetry(profile_kernels=True)`` or an enabled tracer), keeping
-the default path free of indirection.
+(``Telemetry(profile_kernels=True)`` or an attached span sink),
+keeping the default path free of indirection.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from time import perf_counter
 
 import numpy as np
 
-from ..telemetry.trace import NULL_TRACER
 from .base import KernelBackend
 
 __all__ = ["ProfiledBackend"]
@@ -58,7 +57,7 @@ class ProfiledBackend(KernelBackend):
     def __init__(self, inner: KernelBackend, registry=None, tracer=None) -> None:
         self.inner = inner
         self.registry = registry
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         # Proxy the inner identity: manifests and fingerprints must
         # record the backend that does the arithmetic, not the wrapper.
         self.name = inner.name
@@ -86,9 +85,8 @@ class ProfiledBackend(KernelBackend):
             elems.add(int(elements))
             nbytes_c.add(int(nbytes))
             timer.add(dur)
-        trc = self.tracer
-        if trc.enabled:
-            trc.kernel(method, t0, dur, int(elements), int(nbytes))
+        if self.tracer is not None:
+            self.tracer.kernel(method, t0, dur, int(elements), int(nbytes))
 
     # -- geometry ------------------------------------------------------
     def distance_block(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -78,6 +78,18 @@ class Topology:
         Coyle) approximates the CH->BS distance by this quantity."""
         return float(self._d_to_bs.mean())
 
+    def __getstate__(self) -> dict:
+        # The node->BS distances are derived from the positions; a
+        # snapshot stores only the positions and recomputes them.
+        state = self.__dict__.copy()
+        del state["_d_to_bs"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._d_to_bs = distances_to_point(self.nodes.positions, self.bs.xyz)
+        self._d_to_bs.flags.writeable = False
+
     def full_matrix(self) -> np.ndarray:
         """Full ``(N, N)`` node-node distance matrix, computed once."""
         if self._full is None:

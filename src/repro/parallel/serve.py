@@ -50,7 +50,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..telemetry.jsonl import compression_suffix, resolve_compression
+from ..telemetry.jsonl import (
+    atomic_write_text,
+    compression_suffix,
+    resolve_compression,
+)
 from .scheduler import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_LEASE_ATTEMPTS,
@@ -227,10 +231,9 @@ def _publish(jobs_dir: Path, jobs: list[SweepJob], *, state: str) -> None:
         "state": state,
         "jobs": [job_snapshot(job) for job in jobs],
     }
-    path = serve_status_path(jobs_dir)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(snapshot, sort_keys=True), encoding="utf-8")
-    tmp.replace(path)
+    atomic_write_text(
+        serve_status_path(jobs_dir), json.dumps(snapshot, sort_keys=True)
+    )
 
 
 def serve_once(

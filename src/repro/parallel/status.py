@@ -19,18 +19,20 @@ The sidecar is deliberately **not** part of the artifact:
 
 Each rewrite keeps the first row (the launch record) plus the newest
 :data:`MAX_STATUS_ROWS` − 1 heartbeats, so the file stays small on
-long shards while preserving the start-of-run context.  Writes go via
-a sibling temp file + ``os.replace`` so a reader (``repro status``)
-never sees a torn row; :func:`load_status` additionally tolerates a
-torn tail for robustness against non-atomic copies.
+long shards while preserving the start-of-run context.  Writes go
+through :func:`~repro.telemetry.jsonl.atomic_write_text` so a reader
+(``repro status``) never sees a torn row; :func:`load_status`
+additionally tolerates a torn tail for robustness against non-atomic
+copies.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
+
+from ..telemetry.jsonl import atomic_write_text
 
 __all__ = [
     "EWMA_ALPHA",
@@ -172,14 +174,10 @@ class ShardStatusWriter:
         if len(self._rows) > MAX_STATUS_ROWS:
             # Keep the launch row and the newest heartbeats.
             self._rows = [self._rows[0]] + self._rows[-(MAX_STATUS_ROWS - 1):]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for row in self._rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        atomic_write_text(
+            self.path,
+            "".join(json.dumps(row, sort_keys=True) + "\n" for row in self._rows),
+        )
 
 
 def load_status(path) -> dict:

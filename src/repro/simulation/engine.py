@@ -62,7 +62,7 @@ from ..network.packet import PacketArena, PacketStats, PacketStatus
 from ..network.queueing import QueueBank, SourceBuffers
 from ..network.queueing import utilization as _utilization
 from ..routing import build_router
-from ..telemetry import NULL, NULL_TRACER, SpanTracer, Telemetry, run_manifest
+from ..telemetry import NULL, SpanTracer, Telemetry, run_manifest
 from ..telemetry.trace import rss_mb
 from .metrics import RoundStats, SimulationResult
 from .state import NetworkState
@@ -114,22 +114,25 @@ class SimulationEngine:
         bit-identical by contract; the resolved name is recorded in the
         run manifest.
     telemetry:
-        An optional :class:`~repro.telemetry.Telemetry` handle.  When
-        given, every stage of the slot pipeline is wall-clock
-        attributed (``time/phase/*``) and pipeline counters (packets,
-        energy, channel, queues) accumulate in its registry; the final
-        :class:`SimulationResult` carries a snapshot in
-        ``extras["telemetry"]``.  When absent the engine holds the
-        no-op :data:`~repro.telemetry.NULL` singleton, which never
-        touches an RNG stream — telemetry on or off, runs are
-        bit-identical.
+        An optional :class:`~repro.telemetry.Telemetry` handle, the
+        engine's one instrument (held as :attr:`telemetry`).  Its lap
+        clock wall-clock attributes every stage of the slot pipeline;
+        with a registry attached, phase times (``time/phase/*``) and
+        pipeline counters (packets, energy, channel, queues)
+        accumulate there and the final :class:`SimulationResult`
+        carries a snapshot in ``extras["telemetry"]``.  When nothing
+        is attached the engine holds the no-op
+        :data:`~repro.telemetry.NULL` singleton, which never touches
+        an RNG stream — instrumented or not, runs are bit-identical.
     tracer:
-        An optional :class:`~repro.telemetry.SpanTracer`.  When given,
-        the run becomes a hierarchical span stream (run → round →
-        phase → kernel call, fault events as instants) exportable as
-        JSONL or a Perfetto-loadable Chrome trace.  Defaults to the
-        no-op :data:`~repro.telemetry.NULL_TRACER`; like telemetry,
-        tracing never touches an RNG stream.  Attaching a tracer (or
+        An optional :class:`~repro.telemetry.SpanTracer`, attached as
+        the handle's span sink (``telemetry.spans``); without a
+        ``telemetry`` argument the engine builds a handle with no
+        registry.  The run then becomes a hierarchical span stream
+        (run → round → phase → kernel call, fault events as instants)
+        exportable as JSONL or a Perfetto-loadable Chrome trace, with
+        phase spans timed by the same lap clock as the
+        ``time/phase/*`` counters.  A span sink (or
         ``Telemetry(profile_kernels=True)``) wraps the kernel backend
         in :class:`~repro.kernels.ProfiledBackend` — numerically
         invisible, and the manifest still records the inner backend.
@@ -152,8 +155,13 @@ class SimulationEngine:
     ) -> None:
         self.config = config
         self.protocol = protocol
-        self.telemetry = telemetry if telemetry is not None else NULL
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        tel = telemetry if telemetry is not None else NULL
+        if tracer is not None:
+            if tel is NULL:
+                tel = Telemetry()
+                tel.registry = None
+            tel.spans = tracer
+        self.telemetry = tel
         if config.equivalence != "bitwise" and trace is not None:
             raise EquivalenceError(
                 "golden traces require bitwise equivalence; a "
@@ -169,17 +177,13 @@ class SimulationEngine:
         # different kernel call *counts*, so auto-profiling would break
         # their deterministic-view equality); the wrapper is
         # numerically invisible and proxies the inner backend's name.
-        if self.telemetry.profile_kernels or self.tracer.enabled:
+        if tel.profile_kernels or tel.spans is not None:
             from ..kernels import ProfiledBackend
 
             self.kernels = ProfiledBackend(
                 self.kernels,
-                registry=(
-                    self.telemetry.registry
-                    if self.telemetry.profile_kernels
-                    else None
-                ),
-                tracer=self.tracer,
+                registry=tel.registry if tel.profile_kernels else None,
+                tracer=tel.spans,
             )
         self.state = NetworkState(
             config,
@@ -199,7 +203,7 @@ class SimulationEngine:
         self._first_death_round: int | None = None
         self._rounds: list[RoundStats] = []
         self._totals = PacketStats()
-        #: Whether the tracer's "run" span is already open — restored
+        #: Whether the span sink's "run" span is already open — restored
         #: snapshots carry it open, and a resumed ``run()`` must not
         #: begin a second one (span IDs stay deterministic either way).
         self._run_begun = False
@@ -225,7 +229,7 @@ class SimulationEngine:
                 self.state.fault_rng,
                 self.state.n,
                 self.state.bs_index,
-                tracer=self.tracer,
+                tracer=tel.spans,
             )
             self._recovering = self.faults.recovering
             #: Per-sender degradation bookkeeping (recovery path only):
@@ -254,16 +258,16 @@ class SimulationEngine:
         #: Self-describing header shared by the trace dump and the
         #: telemetry snapshot (built lazily only when someone records).
         self.manifest: dict | None = None
-        if self.trace is not None or self.telemetry.enabled or self.tracer.enabled:
+        if self.trace is not None or tel.enabled:
             self.manifest = run_manifest(
                 config, protocol.name, backend=self.kernels.name
             )
         if self.trace is not None and self.trace.manifest is None:
             self.trace.manifest = self.manifest
-        if self.tracer.enabled and self.tracer.manifest is None:
-            self.tracer.manifest = self.manifest
-        if self.telemetry.enabled:
-            self.state.channel.bind_telemetry(self.telemetry)
+        if tel.spans is not None and tel.spans.manifest is None:
+            tel.spans.manifest = self.manifest
+        if tel.registry is not None:
+            self.state.channel.bind_telemetry(tel)
             self._tel_energy_mark = self.state.ledger.category_breakdown()
             self._tel_routing_mark = self.router.counters()
 
@@ -318,7 +322,6 @@ class SimulationEngine:
         st = self.state
         arena = self.arena
         tel = self.telemetry
-        trc = self.tracer
         bits = self.config.traffic.packet_bits
         # Canonical order: ascending sender index.  Within-slot
         # contention (queue capacity, BS budget) resolves in this order
@@ -352,12 +355,10 @@ class SimulationEngine:
         else:
             targets = np.full(senders.size, st.bs_index, dtype=np.int64)
         tel.lap("relay_choice")
-        trc.lap("relay_choice")
         rows = self.buffers.peek(senders)
         d = st.distances_many(senders, targets)
         st.ledger.discharge_many(senders, st.radio.tx(bits, d), "tx")
         tel.lap("discharge")
-        trc.lap("discharge")
         # Liveness snapshot after the tx charges: a target killed by
         # this slot's receptions still ACKs this slot's arrivals.
         to_bs = targets == st.bs_index
@@ -366,7 +367,6 @@ class SimulationEngine:
         draws = st.channel.attempt_batch(d, senders, targets)
         arrived = draws & target_alive
         tel.lap("channel")
-        trc.lap("channel")
         # Every arrival at a non-BS target costs that target rx energy
         # (heads pay even for packets their full queue then rejects —
         # the radio listened either way).
@@ -374,7 +374,6 @@ class SimulationEngine:
         if rx_targets.size:
             st.ledger.discharge_many(rx_targets, st.radio.rx(bits), "rx")
         tel.lap("discharge")
-        trc.lap("discharge")
 
         pos = bank.position(targets)
         acks = np.zeros(senders.size, dtype=bool)
@@ -486,12 +485,10 @@ class SimulationEngine:
         if free_rows:
             arena.free(np.concatenate(free_rows))
         tel.lap("queue_offer")
-        trc.lap("queue_offer")
 
         st.link_estimator.update_batch(senders, targets, acks)
         self.protocol.on_transmissions(st, senders, targets, acks)
         tel.lap("estimator")
-        trc.lap("estimator")
 
     def _service(
         self,
@@ -700,7 +697,7 @@ class SimulationEngine:
                         n_frames,
                         n_delivered,
                     )
-                if self.telemetry.enabled and n_delivered:
+                if self.telemetry.registry is not None and n_delivered:
                     self.telemetry.registry.histogram(
                         "routing/hops", _HOP_COUNT_EDGES
                     ).observe_many(
@@ -796,11 +793,9 @@ class SimulationEngine:
         st = self.state
         cfg = self.config
         tel = self.telemetry
-        trc = self.tracer
         t_round = tel.now()
-        if trc.enabled:
-            trc.begin("round", cat="round", args={"round": st.round_index})
-            trc.lap_start()
+        if tel.spans is not None:
+            tel.spans.begin("round", cat="round", args={"round": st.round_index})
         tel.lap_start()
         # Inter-round environment dynamics (extensions; both no-ops in
         # the paper's static, battery-only evaluation).
@@ -822,7 +817,6 @@ class SimulationEngine:
         energy_before = st.ledger.total_spent
         v_before = getattr(self.protocol, "v_update_count", 0)
         tel.lap("setup")
-        trc.lap("setup")
 
         heads = self.protocol.validate_heads(
             st, self.protocol.select_cluster_heads(st)
@@ -849,7 +843,6 @@ class SimulationEngine:
             # the dedicated routing RNG stream.
             self.router.begin_round(st, heads)
         tel.lap("ch_select")
-        trc.lap("ch_select")
 
         slots = cfg.traffic.slots_per_round
         base_slot = st.round_index * slots
@@ -860,14 +853,11 @@ class SimulationEngine:
                 self.faults.at_slot(st, heads, slot)
             self._generate(abs_slot, is_head, stats)
             tel.lap("generate")
-            trc.lap("generate")
             self._transmit(abs_slot, heads, is_head, bank, stats)
             self._service(abs_slot, bank, fused, stats)
             tel.lap("service")
-            trc.lap("service")
         self._uplink(heads, fused, bank, base_slot + slots, stats)
         tel.lap("uplink")
-        trc.lap("uplink")
         self.protocol.on_round_end(st, heads)
 
         if self._first_death_round is None and st.ledger.any_dead:
@@ -888,23 +878,12 @@ class SimulationEngine:
         if self.trace is not None:
             self.trace.record(round_stats, heads, st.ledger.residual)
         tel.lap("round_end")
-        trc.lap("round_end")
-        if tel.enabled:
+        if tel.registry is not None:
             self._record_round_telemetry(round_stats, peaks, tel.now() - t_round)
-        if trc.enabled:
-            # Periodic memory sample *inside* the round span, so the
-            # instant nests under the round it was taken in.
-            if st.round_index % 8 == 0:
-                report = st.memory_report()
-                trc.instant(
-                    "mem/sample",
-                    cat="mem",
-                    args={
-                        "rss_mb": rss_mb(),
-                        "resident_mb": report["resident_mb"],
-                    },
-                )
-            trc.end()
+        if tel.enabled and st.round_index % 8 == 0:
+            self._sample_memory()
+        if tel.spans is not None:
+            tel.spans.end()
         st.round_index += 1
         return round_stats
 
@@ -947,16 +926,24 @@ class SimulationEngine:
                 _utilization(peaks, self.config.queue.capacity)
             )
         reg.gauge("time/round").observe(round_wall)
-        if rs.round_index % 8 == 0:
-            # Periodic memory sampling: nondeterministic by nature, so
-            # both metrics live under prefixes deterministic_view strips
-            # (``mem/`` and ``prof/rss``).
-            reg.gauge("mem/resident_mb").observe(
-                self.state.memory_report()["resident_mb"]
-            )
-            rss = rss_mb()
+
+    def _sample_memory(self) -> None:
+        """One reading of resident arrays and process RSS for every
+        sink.  The gauges live under prefixes ``deterministic_view``
+        strips; the instant nests inside the open round span."""
+        tel = self.telemetry
+        resident = self.state.memory_report()["resident_mb"]
+        rss = rss_mb()
+        if tel.registry is not None:
+            tel.registry.gauge("mem/resident_mb").observe(resident)
             if rss is not None:
-                reg.gauge("prof/rss/mb").observe(rss)
+                tel.registry.gauge("prof/rss/mb").observe(rss)
+        if tel.spans is not None:
+            tel.spans.instant(
+                "mem/sample",
+                cat="mem",
+                args={"rss_mb": rss, "resident_mb": resident},
+            )
 
     def run(
         self,
@@ -996,10 +983,10 @@ class SimulationEngine:
                 every=checkpoint_every,
                 keep_last=checkpoint_keep_last,
             )
-        trc = self.tracer
-        if trc.enabled and not self._run_begun:
+        spans = self.telemetry.spans
+        if spans is not None and not self._run_begun:
             self._run_begun = True
-            trc.begin(
+            spans.begin(
                 "run",
                 cat="run",
                 args={
@@ -1033,12 +1020,12 @@ class SimulationEngine:
                 break
             rows = self.buffers.pop(pending)
             self._totals.expired += rows.size
-            if self.telemetry.enabled:
+            if self.telemetry.registry is not None:
                 self.telemetry.counter("packets/expired").add(rows.size)
             self.arena.mark(rows, PacketStatus.EXPIRED)
             self.arena.free(rows)
-        if trc.enabled:
-            trc.end()
+        if spans is not None:
+            spans.end()
         result = SimulationResult(
             protocol=self.protocol.name,
             rounds_executed=len(self._rounds),
@@ -1057,11 +1044,11 @@ class SimulationEngine:
         )
         if self.faults.active:
             result.faults = self.faults.summary(self.state.ledger)
-            if self.telemetry.enabled:
+            if self.telemetry.registry is not None:
                 self._record_fault_telemetry(result.faults)
         if self.router.active:
             result.extras["routing"] = self.router.summary()
-        if self.telemetry.enabled:
+        if self.telemetry.registry is not None:
             result.extras["telemetry"] = {
                 "manifest": self.manifest,
                 "metrics": self.telemetry.snapshot(),

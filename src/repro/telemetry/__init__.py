@@ -10,15 +10,18 @@ Three pieces:
 * :mod:`~repro.telemetry.registry` — counters, gauges (commutative
   summaries), and fixed-bucket histograms, collected in a picklable,
   order-insensitively mergeable :class:`MetricRegistry`;
-* :mod:`~repro.telemetry.timers` — :class:`Telemetry` (a registry plus
-  a lap clock for phase attribution) and the :data:`NULL` disabled
-  singleton whose hooks are no-ops, keeping the instrumented engine
-  single-path and essentially free when telemetry is off;
+* :mod:`~repro.telemetry.timers` — :class:`Telemetry`, the engine's
+  one instrument: a lap clock for phase attribution feeding two
+  optional sinks, a registry and a span buffer — and the :data:`NULL`
+  disabled singleton whose hooks are no-ops, keeping the instrumented
+  engine single-path and essentially free when nothing is attached;
+* :mod:`~repro.telemetry.trace` — :class:`SpanTracer`, the bounded
+  run → round → phase → kernel span buffer and its exports;
 * :mod:`~repro.telemetry.manifest` — config fingerprints and the
   run-manifest header that makes trace files self-describing;
 * :mod:`~repro.telemetry.jsonl` — the shared torn-tail-tolerant JSONL
-  reader and the optional gzip/zstd compression codecs every artifact
-  writer and reader goes through.
+  reader, the atomic text writer, and the optional gzip/zstd
+  compression codecs every artifact writer and reader goes through.
 
 See ``docs/observability.md`` for the metric-name taxonomy and the
 trace JSONL schema.
@@ -28,6 +31,7 @@ from .jsonl import (
     COMPRESSION_CHOICES,
     CompressionUnavailableError,
     JsonlWriter,
+    atomic_write_text,
     detect_compression,
     read_jsonl_tolerant,
     read_text_tolerant,
@@ -54,9 +58,7 @@ from .registry import (
 )
 from .timers import NULL, NullTelemetry, Telemetry
 from .trace import (
-    NULL_TRACER,
     TRACE_SCHEMA,
-    NullTracer,
     SpanTracer,
     merge_trace_summaries,
     read_trace_jsonl,
@@ -75,14 +77,13 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "NULL",
-    "NULL_TRACER",
     "NullTelemetry",
-    "NullTracer",
     "SHARD_MANIFEST_KIND",
     "SpanTracer",
     "TIME_PREFIX",
     "TRACE_SCHEMA",
     "Telemetry",
+    "atomic_write_text",
     "config_fingerprint",
     "detect_compression",
     "deterministic_view",

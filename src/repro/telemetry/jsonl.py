@@ -40,6 +40,7 @@ __all__ = [
     "COMPRESSION_CHOICES",
     "CompressionUnavailableError",
     "JsonlWriter",
+    "atomic_write_text",
     "compression_suffix",
     "detect_compression",
     "read_jsonl_tolerant",
@@ -228,6 +229,25 @@ def read_jsonl_tolerant(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Streaming writes
 # ---------------------------------------------------------------------------
+
+
+def atomic_write_text(path, text: str) -> Path:
+    """Replace ``path`` with ``text`` atomically and durably.
+
+    The text goes to a sibling ``.tmp`` file, which is fsynced before
+    ``os.replace`` moves it over ``path``: a crash or a failed replace
+    leaves either the previous file or the new one under the final
+    name, never a torn one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    return path
 
 
 class JsonlWriter:

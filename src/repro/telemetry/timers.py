@@ -2,20 +2,27 @@
 
 The engine's hot loop cannot afford context-manager churn per phase,
 so timing uses a *lap clock*: :meth:`Telemetry.lap_start` arms the
-clock and every :meth:`Telemetry.lap` call attributes the time elapsed
-since the previous marker to a named phase counter
-(``time/phase/<name>``).  Markers placed contiguously over a round
-partition its wall time, so per-phase totals sum to ~100 % of the
-round — the property the observability acceptance check relies on.
+clock and every :meth:`Telemetry.lap` call reads ``perf_counter()``
+once and attributes the time elapsed since the previous marker to a
+named phase.  Markers placed contiguously over a round partition its
+wall time, so per-phase totals sum to ~100 % of the round — the
+property the observability acceptance check relies on.
 
-When telemetry is off the engine holds the shared :data:`NULL`
-singleton instead of a real :class:`Telemetry`; every hook on it is a
-``pass``-body method, so the disabled cost of an instrumented phase is
-one attribute lookup plus one no-op call (nanoseconds against a
-multi-millisecond round — see the guard in
-``benchmarks/test_bench_micro.py``).  Crucially no hook ever touches a
-simulation RNG stream, so enabling telemetry cannot perturb a run:
-golden traces and the scalar/batched equivalence stay bit-identical.
+A :class:`Telemetry` handle is the engine's only instrument.  It feeds
+up to two sinks from that one clock: its metric registry (phase
+counters ``time/phase/<name>``) and an attached
+:class:`~repro.telemetry.trace.SpanTracer` (one ``phase`` span per
+lap).  Both sinks see the same interval, so each phase counter equals
+the sum of that phase's span durations exactly.
+
+When nothing is attached the engine holds the shared :data:`NULL`
+singleton instead; every hook on it is a ``pass``-body method, so the
+disabled cost of an instrumented phase is one attribute lookup plus
+one no-op call (nanoseconds against a multi-millisecond round — see
+the guard in ``benchmarks/test_bench_micro.py``).  Crucially no hook
+ever touches a simulation RNG stream, so instrumenting a run cannot
+perturb it: golden traces and the scalar/batched equivalence stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class Telemetry:
-    """Live instrumentation handle: a metric registry plus lap clock.
+    """Live instrumentation handle: one lap clock and its two sinks,
+    :attr:`registry` (``None`` on a trace-only handle) and
+    :attr:`spans`.
 
     Pass one to :class:`~repro.simulation.engine.SimulationEngine`
     (or ``run_cell(..., telemetry=True)``) to collect phase timings
@@ -83,6 +92,9 @@ class Telemetry:
         #: batched engine paths — with profiling off, their
         #: deterministic views stay exactly equal.
         self.profile_kernels = bool(profile_kernels)
+        #: Span sink (a :class:`~repro.telemetry.trace.SpanTracer`),
+        #: attached by the engine from its ``tracer=`` argument.
+        self.spans = None
         self._t_last = 0.0
         #: Phase-name -> counter cache so the hot path skips the
         #: registry dict and string concatenation after first use.
@@ -98,14 +110,19 @@ class Telemetry:
         self._t_last = perf_counter()
 
     def lap(self, phase: str) -> None:
-        """Attribute time since the previous marker to ``phase``."""
+        """Attribute time since the previous marker to ``phase`` in
+        every attached sink."""
         now = perf_counter()
-        c = self._phase_cache.get(phase)
-        if c is None:
-            c = self.registry.counter("time/phase/" + phase)
-            self._phase_cache[phase] = c
-        c.add(now - self._t_last)
+        t_last = self._t_last
         self._t_last = now
+        if self.registry is not None:
+            c = self._phase_cache.get(phase)
+            if c is None:
+                c = self.registry.counter("time/phase/" + phase)
+                self._phase_cache[phase] = c
+            c.add(now - t_last)
+        if self.spans is not None:
+            self.spans.phase(phase, t_last, now)
 
     def span(self, name: str) -> _Span:
         """Time a ``with`` block into counter ``time/<name>``."""
@@ -135,12 +152,14 @@ class NullTelemetry:
     The engine unconditionally calls ``lap_start``/``lap`` on its
     telemetry handle; holding this singleton instead of branching keeps
     the instrumented code single-path while costing only a no-op call
-    per marker when telemetry is off.  Code that would *allocate*
-    (round-end counter rollups) must still guard on ``enabled``.
+    per marker when nothing is attached.  Code that would *allocate*
+    (round-end counter rollups, spans) must still guard on its sink
+    (``registry`` / ``spans`` is not None).
     """
 
     enabled = False
     registry = None
+    spans = None
     profile_kernels = False
 
     def lap_start(self) -> None:
@@ -160,5 +179,5 @@ class NullTelemetry:
         return {}
 
 
-#: Shared disabled-telemetry singleton.
+#: Shared disabled-instrument singleton.
 NULL = NullTelemetry()

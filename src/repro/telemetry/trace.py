@@ -6,8 +6,10 @@ The aggregate counters of :mod:`~repro.telemetry.registry` answer
 
 * **spans** — intervals with an identity, a parent, and a category:
   the whole ``run``, each ``round``, the lap-clock ``phase`` segments
-  inside it, and each ``kernel`` backend invocation (recorded by
-  :class:`~repro.kernels.profiling.ProfiledBackend`);
+  inside it (emitted by :meth:`Telemetry.lap
+  <repro.telemetry.timers.Telemetry.lap>`, whose clock also feeds the
+  ``time/phase/*`` counters), and each ``kernel`` backend invocation
+  (recorded by :class:`~repro.kernels.profiling.ProfiledBackend`);
 * **instants** — zero-duration marks: fault-injection/recovery events
   (emitted by the injector's accounting hook, so they land inside the
   round span that applied them) and periodic memory samples.
@@ -28,12 +30,14 @@ Exports:
   in Perfetto / ``chrome://tracing`` (``ph: "X"`` complete spans and
   ``ph: "i"`` instants, microsecond timestamps).
 
-The PR 2 contract applies unchanged: the engine holds the
-:data:`NULL_TRACER` no-op singleton by default, no hook ever touches a
-simulation RNG stream, and the disabled-path cost is covered by the
-<2 % overhead guard in ``benchmarks/test_bench_micro.py``.  The
-deterministic part of a trace (the :meth:`SpanTracer.summary` name
-counts) merges order-insensitively via :func:`merge_trace_summaries`.
+A tracer is a sink of the engine's one instrument handle
+(:attr:`Telemetry.spans <repro.telemetry.timers.Telemetry.spans>`):
+without one the engine holds the :data:`~repro.telemetry.NULL`
+singleton, no hook ever touches a simulation RNG stream, and the
+disabled-path cost is covered by the <2 % overhead guard in
+``benchmarks/test_bench_micro.py``.  The deterministic part of a
+trace (the :meth:`SpanTracer.summary` name counts) merges
+order-insensitively via :func:`merge_trace_summaries`.
 """
 
 from __future__ import annotations
@@ -43,12 +47,11 @@ import os
 from pathlib import Path
 from time import perf_counter
 
+from .jsonl import atomic_write_text, read_jsonl_tolerant
 from .manifest import MANIFEST_KIND
 
 __all__ = [
     "INSTANT_KIND",
-    "NULL_TRACER",
-    "NullTracer",
     "SPAN_KIND",
     "SpanTracer",
     "TRACE_SCHEMA",
@@ -98,15 +101,12 @@ class SpanTracer:
     """Records hierarchical spans and instants into a bounded buffer.
 
     Parenting: :meth:`begin`/:meth:`end` maintain an explicit stack
-    (run, round); :meth:`lap` emits retrospective *phase* spans
-    covering the time since the previous lap marker (piggybacking on
-    the engine's existing lap-clock sites) parented to the stack top;
-    :meth:`kernel` spans are re-parented to the phase span that closes
-    over them (the next ``lap`` call), since a phase span only comes
-    into existence *after* the kernels it contains have run.
+    (run, round); :meth:`phase` emits a retrospective *phase* span for
+    an interval the caller's lap clock measured, parented to the stack
+    top; :meth:`kernel` spans are re-parented to the phase span that
+    closes over them (the next ``phase`` call), since a phase span only
+    comes into existence *after* the kernels it contains have run.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class SpanTracer:
         #: Kernel events awaiting re-parent to the next phase span.
         self._pending: list[dict] = []
         self._epoch: float | None = None
-        self._t_last: float | None = None
 
     # -- clock ---------------------------------------------------------
     @staticmethod
@@ -183,27 +182,20 @@ class SpanTracer:
         return sid
 
     # -- lap-clock phase spans -----------------------------------------
-    def lap_start(self) -> None:
-        """Arm the lap clock (start of a round)."""
-        t = self.now()
-        if self._epoch is None:
-            self._epoch = t
-        self._t_last = t
-
-    def lap(self, phase: str) -> None:
-        """Emit a phase span covering time since the previous marker."""
-        now = self.now()
-        t_last = self._t_last if self._t_last is not None else now
+    def phase(self, name: str, t0: float, t1: float) -> None:
+        """Emit a phase span for the lap ``[t0, t1]`` (``perf_counter``
+        readings taken by :meth:`Telemetry.lap
+        <repro.telemetry.timers.Telemetry.lap>`)."""
         sid = self._next_id
         self._next_id += 1
         ev = {
             "kind": SPAN_KIND,
             "id": sid,
             "parent": self._parent(),
-            "name": phase,
+            "name": name,
             "cat": "phase",
-            "ts": self._ts(t_last),
-            "dur": now - t_last,
+            "ts": self._ts(t0),
+            "dur": t1 - t0,
         }
         self._emit(ev)
         # Kernel calls since the previous marker ran *inside* this
@@ -211,7 +203,6 @@ class SpanTracer:
         for kev in self._pending:
             kev["parent"] = sid
         self._pending.clear()
-        self._t_last = now
 
     # -- kernel + instant hooks ----------------------------------------
     def kernel(
@@ -288,7 +279,7 @@ class SpanTracer:
 
     def write_jsonl(self, path) -> Path:
         """Atomically write the manifest-headed JSONL span dump."""
-        return _atomic_write_text(path, self.to_jsonl())
+        return atomic_write_text(path, self.to_jsonl())
 
     def chrome_events(self) -> list[dict]:
         """The event stream in Chrome trace-event form.
@@ -339,50 +330,7 @@ class SpanTracer:
 
     def write_chrome(self, path) -> Path:
         """Atomically write the Perfetto-loadable Chrome trace JSON."""
-        return _atomic_write_text(path, self.to_chrome() + "\n")
-
-
-class NullTracer:
-    """Disabled tracer: every hook is a no-op (the PR 2 NULL pattern).
-
-    The engine holds this singleton when no tracer is attached, so the
-    instrumented code stays single-path; the disabled cost per marker
-    is one attribute lookup plus one no-op call, covered by the
-    overhead guard in ``benchmarks/test_bench_micro.py``.
-    """
-
-    enabled = False
-    manifest = None
-    events: list = []
-    dropped = 0
-
-    def begin(self, name: str, cat: str = "span", args: dict | None = None) -> int:
-        return 0
-
-    def end(self) -> int:
-        return 0
-
-    def lap_start(self) -> None:
-        pass
-
-    def lap(self, phase: str) -> None:
-        pass
-
-    def kernel(
-        self, method: str, t0: float, dur: float, elements: int, nbytes: int
-    ) -> None:
-        pass
-
-    def instant(self, name: str, cat: str = "event", args: dict | None = None) -> None:
-        pass
-
-    @staticmethod
-    def now() -> float:
-        return 0.0
-
-
-#: Shared disabled-tracer singleton.
-NULL_TRACER = NullTracer()
+        return atomic_write_text(path, self.to_chrome() + "\n")
 
 
 def merge_trace_summaries(*summaries: dict) -> dict:
@@ -421,8 +369,6 @@ def read_trace_jsonl(path) -> dict:
     dropped like in every other artifact reader in the repo; a
     manifest anywhere but record one is an error.
     """
-    from .jsonl import read_jsonl_tolerant
-
     manifest = None
     summary = None
     events: list[dict] = []
@@ -442,11 +388,3 @@ def read_trace_jsonl(path) -> dict:
             )
     return {"manifest": manifest, "events": events, "summary": summary}
 
-
-def _atomic_write_text(path, text: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path

@@ -37,7 +37,7 @@ from repro.kernels import (
 )
 from repro.network.packet import PacketCounts
 from repro.simulation import SimulationEngine
-from repro.telemetry import Telemetry
+from repro.telemetry import SpanTracer, Telemetry
 from repro.telemetry.manifest import config_fingerprint
 from repro.telemetry.registry import deterministic_view
 
@@ -141,6 +141,19 @@ class TestSnapshotCost:
         # A round adds a few counters (~150 B), never a latency sample.
         assert sizes[50] - sizes[5] <= 256 * (50 - 5), sizes
 
+    def test_bs_distances_are_recomputed_not_stored(self, tmp_path):
+        engine = _engine(_config(rounds=3))
+        engine.run_round()
+        moved = engine.state.nodes.positions * 0.5
+        engine.state.update_positions(moved)
+        expected = engine.state.topology.d_to_bs
+        assert "_d_to_bs" not in engine.state.topology.__getstate__()
+        path = tmp_path / f"run-r00000001{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        got = read_checkpoint(path)[1].state.topology.d_to_bs
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+
     def test_round_history_holds_counters_only(self):
         result = _engine(_config(rounds=4)).run()
         assert result.per_round
@@ -188,6 +201,19 @@ class TestBackendByName:
         engine.run_round()
         restored.run_round()
         assert kernel_counts(restored) == kernel_counts(engine)
+
+    def test_traced_engine_restores_one_span_sink(self, tmp_path):
+        engine = SimulationEngine(
+            _config(rounds=3, faults="ch-kill"), PROTOCOLS["qlec"](),
+            telemetry=Telemetry(), tracer=SpanTracer(),
+        )
+        engine.run_round()
+        restored = self._roundtrip(engine, tmp_path)
+        spans = restored.telemetry.spans
+        assert restored.telemetry.registry is not None
+        assert restored.kernels.tracer is spans
+        assert restored.faults.tracer is spans
+        assert spans.events == engine.telemetry.spans.events
 
     def test_restore_without_the_backend_refuses(self, tmp_path, clean_registry):
         class GhostBackend(NumpyBackend):
@@ -299,6 +325,17 @@ class TestRefusalTaxonomy:
         self._rewrite_header(snapshot, schema=1)
         with pytest.raises(CheckpointVersionError, match="schema 1"):
             read_checkpoint(snapshot)
+
+    def test_schema_2_snapshot_refused(self, tmp_path):
+        # Schema 2 pickled a separate engine tracer and a Telemetry
+        # without a span sink; resuming one would fail mid-run.
+        engine = _engine(_config(rounds=3), telemetry=True, tracer=SpanTracer())
+        engine.run_round()
+        path = tmp_path / f"t-r00000001{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        self._rewrite_header(path, schema=2)
+        with pytest.raises(CheckpointVersionError, match="schema 2"):
+            read_checkpoint(path)
 
     def test_unknown_schema_refused(self, snapshot):
         self._rewrite_header(snapshot, schema=999)

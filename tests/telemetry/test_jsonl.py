@@ -9,6 +9,7 @@ from repro.telemetry.jsonl import (
     COMPRESSION_CHOICES,
     CompressionUnavailableError,
     JsonlWriter,
+    atomic_write_text,
     compression_suffix,
     detect_compression,
     read_jsonl_tolerant,
@@ -174,3 +175,37 @@ class TestTornTails:
         p.write_bytes(b'{"i": 1}\n\xff\xfe')
         text = read_text_tolerant(p)
         assert text.startswith('{"i": 1}')
+
+
+class TestAtomicWriteText:
+    def test_writes_and_replaces(self, tmp_path):
+        p = tmp_path / "sub" / "status.json"
+        assert atomic_write_text(p, "one\n") == p
+        atomic_write_text(p, "two\n")
+        assert p.read_text() == "two\n"
+        assert [f.name for f in p.parent.iterdir()] == ["status.json"]
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        import repro.telemetry.jsonl as jsonl_mod
+
+        p = tmp_path / "status.json"
+        atomic_write_text(p, "previous\n")
+        calls = []
+        real_fsync = jsonl_mod.os.fsync
+
+        def recording_fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def failing_replace(src, dst):
+            calls.append("replace")
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(jsonl_mod.os, "fsync", recording_fsync)
+        monkeypatch.setattr(jsonl_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk went away"):
+            atomic_write_text(p, "partial new content\n")
+        # The temp file was made durable before the (failed) replace,
+        # and the final name still holds the previous content whole.
+        assert calls == ["fsync", "replace"]
+        assert p.read_text() == "previous\n"

@@ -75,3 +75,4 @@ class TestNullTelemetry:
 
     def test_no_registry(self):
         assert NULL.registry is None
+        assert NULL.spans is None

@@ -10,8 +10,8 @@ from repro.faults import build_fault_plan
 from repro.simulation import run_simulation
 from repro.simulation.engine import SimulationEngine
 from repro.telemetry import (
-    NULL_TRACER,
     SpanTracer,
+    Telemetry,
     merge_trace_summaries,
     read_trace_jsonl,
     rss_mb,
@@ -44,21 +44,20 @@ class TestSpanMechanics:
     def test_lap_emits_phase_span_under_stack_top(self):
         trc = SpanTracer()
         rid = trc.begin("round", cat="round")
-        trc.lap_start()
-        trc.lap("setup")
+        t0 = trc.now()
+        trc.phase("setup", t0, t0 + 0.25)
         trc.end()
         phase = next(ev for ev in trc.events if ev["cat"] == "phase")
         assert phase["name"] == "setup"
         assert phase["parent"] == rid
-        assert phase["dur"] >= 0
+        assert phase["dur"] == 0.25
 
     def test_kernel_spans_reparent_to_closing_phase(self):
         trc = SpanTracer()
         trc.begin("round", cat="round")
-        trc.lap_start()
         t0 = trc.now()
         trc.kernel("distance_block", t0, 0.001, 90, 1440)
-        trc.lap("ch_select")
+        trc.phase("ch_select", t0, trc.now())
         trc.end()
         kernel = next(ev for ev in trc.events if ev["cat"] == "kernel")
         phase = next(ev for ev in trc.events if ev["cat"] == "phase")
@@ -91,16 +90,6 @@ class TestSpanMechanics:
     def test_end_without_begin_raises(self):
         with pytest.raises(RuntimeError):
             SpanTracer().end()
-
-    def test_null_tracer_hooks_are_noops(self):
-        NULL_TRACER.lap_start()
-        NULL_TRACER.lap("phase")
-        NULL_TRACER.kernel("m", 0.0, 0.0, 0, 0)
-        NULL_TRACER.instant("x")
-        assert NULL_TRACER.begin("run") == 0
-        assert NULL_TRACER.end() == 0
-        assert NULL_TRACER.events == []
-        assert not NULL_TRACER.enabled
 
 
 class TestSummaryMerge:
@@ -231,6 +220,48 @@ class TestEngineIntegration:
         mems = [ev for ev in trc.events if ev["cat"] == "mem"]
         assert mems  # round 0 always samples (round_index % 8 == 0)
         assert "resident_mb" in mems[0]["args"]
+
+
+class TestOneInstrument:
+    """The engine's one handle: one lap clock feeding both sinks."""
+
+    def test_phase_counters_equal_span_durations(self):
+        tel = Telemetry()
+        trc = SpanTracer()
+        run_simulation(
+            make_config(rounds=4), QLECProtocol(), telemetry=tel, tracer=trc
+        )
+        span_sums: dict[str, float] = {}
+        for ev in trc.events:
+            if ev["cat"] == "phase":
+                span_sums[ev["name"]] = span_sums.get(ev["name"], 0.0) + ev["dur"]
+        counters = {
+            name[len("time/phase/"):]: m["value"]
+            for name, m in tel.snapshot().items()
+            if name.startswith("time/phase/")
+        }
+        assert len(counters) == 11
+        assert counters == span_sums
+
+    def test_trace_only_run_has_no_registry(self):
+        trc = SpanTracer()
+        engine = SimulationEngine(make_config(rounds=2), QLECProtocol(), tracer=trc)
+        result = engine.run()
+        assert engine.telemetry.registry is None
+        assert engine.telemetry.spans is trc
+        assert "telemetry" not in result.extras
+        assert trc.summary()["spans_by_name"]["round"] == 2
+
+    def test_telemetry_only_run_records_no_spans(self):
+        tel = Telemetry(profile_kernels=True)
+        engine = SimulationEngine(
+            make_config(rounds=2), QLECProtocol(), telemetry=tel
+        )
+        result = engine.run()
+        assert engine.telemetry is tel
+        assert tel.spans is None
+        assert engine.kernels.tracer is None
+        assert "telemetry" in result.extras
 
 
 def test_rss_mb_returns_positive_or_none():
