@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Mountain-terrain congestion sweep using the parallel harness.
+"""Mountain-terrain congestion sweep on a process pool.
 
 The paper motivates 3-D clustering with "mountainous areas"; this
 example drapes 120 sensors over a synthetic massif (gateway on the
-summit), then sweeps the Poisson congestion level for QLEC with the
-process-pool sweep machinery — the same harness the Fig. 3 benchmarks
-use, here applied to a custom deployment.
+summit), then sweeps the Poisson congestion level for QLEC, one
+independent cell per (lambda, seed) on a standard-library process pool.
 
 Run:  python examples/mountain_terrain_sweep.py
 """
+
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from repro import (
     mountain_terrain,
 )
 from repro.analysis import render_series
-from repro.parallel import run_tasks
 
 SIDE = 250.0
 N_NODES = 120
@@ -57,7 +57,8 @@ def run_one(lam: float, seed: int) -> dict:
 
 def main() -> None:
     cells = [(lam, seed) for lam in LAMBDAS for seed in SEEDS]
-    rows = run_tasks(run_one, cells)
+    with ProcessPoolExecutor() as pool:
+        rows = list(pool.map(run_one, *zip(*cells)))
 
     def series(metric: str) -> list[float]:
         return [

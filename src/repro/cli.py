@@ -14,7 +14,6 @@ Commands
 ``scenario``     run one protocol on a named scenario from the catalog
 ``resume``       finish a checkpointed run from an engine snapshot
 ``sweep``        run a sweep grid (or one shard of it) into a JSONL artifact
-``serve``        long-running scheduler over a directory of job files
 ``status``       render the live progress of sharded sweep invocations
 ``merge``        fold shard artifacts back into one sweep
 ``report``       run everything and write REPORT.md
@@ -89,9 +88,30 @@ def _add_routing_arg(cmd: argparse.ArgumentParser) -> None:
     )
 
 
+def _checked(convert, ok, what: str):
+    """An argparse ``type=`` that converts and range-checks a value, so
+    a bad number exits 2 with a usage message before anything runs."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative integer")
+_positive_float = _checked(float, lambda v: v > 0, "positive number")
+
+
 def _add_checkpoint_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=_positive_int, default=None, metavar="N",
         help="snapshot the complete engine state every N rounds so a "
              "killed or drained run resumes bit-identically (see "
              "docs/checkpointing.md); default off — runs without it "
@@ -102,7 +122,7 @@ def _add_checkpoint_args(cmd: argparse.ArgumentParser) -> None:
         help="directory holding the rotated .ckpt snapshots",
     )
     cmd.add_argument(
-        "--keep-last", type=int, default=3, metavar="K",
+        "--keep-last", type=_positive_int, default=3, metavar="K",
         help="rotated snapshots kept per run (older ones are unlinked); "
              "restore degrades to the newest snapshot that validates",
     )
@@ -173,12 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--no-resume", action="store_true",
                      help="recompute every cell even if the artifact "
                           "already has matching rows")
-    swp.add_argument("--retries", type=int, default=1,
+    swp.add_argument("--retries", type=_non_negative_int, default=1,
                      help="extra in-worker attempts before a cell is "
                           "recorded as an error row")
     swp.add_argument("--serial", action="store_true",
                      help="run the cells in this process, in order")
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=_positive_int, default=None)
     swp.add_argument("--set", type=str, nargs="+", default=[],
                      metavar="KEY=VALUE",
                      help="override any SimulationConfig field in every "
@@ -193,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "lease scheduler instead of one static shard "
                           "(incompatible with --shard other than 1/1); "
                           "worker deaths are reclaimed and respawned")
-    swp.add_argument("--lease-seconds", type=float, default=None,
+    swp.add_argument("--lease-seconds", type=_positive_float, default=None,
                      metavar="S",
                      help="lease duration before a silent worker's cell "
                           "is reclaimed (default 300 with --scheduler; "
@@ -209,23 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults_arg(swp)
     _add_routing_arg(swp)
     _add_checkpoint_args(swp)
-
-    srv = sub.add_parser(
-        "serve",
-        help="long-running sweep scheduler over a directory of job files",
-    )
-    srv.add_argument("jobs_dir", type=str,
-                     help="directory holding *.job.json catalog entries; "
-                          "artifacts land in <dir>/artifacts/")
-    srv.add_argument("--once", action="store_true",
-                     help="drain the current catalog once and exit "
-                          "(instead of polling for new job files forever)")
-    srv.add_argument("--cycles", type=int, default=None, metavar="N",
-                     help="exit after N catalog passes (implies bounded run)")
-    srv.add_argument("--workers", type=int, default=None,
-                     help="override every job's worker count")
-    srv.add_argument("--idle", type=float, default=2.0, metavar="S",
-                     help="sleep between catalog passes")
 
     mrg = sub.add_parser(
         "merge", help="fold shard artifacts back into one sweep"
@@ -295,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("snapshot", type=str,
                      help="path to a .ckpt snapshot written by a "
                           "checkpointing run (scenario/sweep cell)")
-    res.add_argument("--checkpoint-every", type=int, default=None,
+    res.add_argument("--checkpoint-every", type=_positive_int, default=None,
                      metavar="N",
                      help="keep snapshotting every N rounds while "
                           "finishing (snapshots land next to the input)")
-    res.add_argument("--keep-last", type=int, default=3, metavar="K",
+    res.add_argument("--keep-last", type=_positive_int, default=3, metavar="K",
                      help="rotated snapshots kept while finishing")
 
     stat = sub.add_parser(
@@ -322,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_quickstart(args) -> int:
     from .analysis import render_table, render_telemetry
     from .analysis.sweep import PROTOCOLS, run_cell
-    from .parallel import fold_results
     from .telemetry import merge_snapshots
 
     rows = [
@@ -334,10 +336,10 @@ def _cmd_quickstart(args) -> int:
         )
         for name in ("qlec", "fcm", "kmeans", "deec", "leach", "direct")
     ]
-    snaps = [row.pop("telemetry", None) for row in rows]
+    snaps = [s for row in rows if (s := row.pop("telemetry", None))]
     print(render_table(rows, title=f"Table-2 scenario, lambda={args.lam}"))
     if args.telemetry:
-        merged = fold_results([s for s in snaps if s], merge_snapshots)
+        merged = merge_snapshots(*snaps) if snaps else None
         print()
         print(render_telemetry(merged, title="Telemetry (all protocols)"))
     _ = PROTOCOLS  # documented entry point for custom protocols
@@ -703,43 +705,6 @@ def _cmd_sweep(args) -> int:
     return 1 if run.errors else 0
 
 
-def _cmd_serve(args) -> int:
-    from .parallel import drain_on_signals
-    from .parallel.serve import serve_forever, serve_once
-
-    with drain_on_signals() as stop:
-        if args.once or args.cycles is not None:
-            if args.once and args.cycles is None:
-                report = serve_once(
-                    args.jobs_dir, workers=args.workers, stop_requested=stop
-                )
-            else:
-                report = serve_forever(
-                    args.jobs_dir,
-                    workers=args.workers,
-                    idle_seconds=args.idle,
-                    max_cycles=args.cycles,
-                    stop_requested=stop,
-                )
-        else:  # pragma: no cover - unbounded interactive loop
-            report = serve_forever(
-                args.jobs_dir, workers=args.workers, idle_seconds=args.idle,
-                stop_requested=stop,
-            )
-    if stop.requested:
-        print(
-            "drained: in-flight cells landed in their artifacts; "
-            "the next 'repro serve' pass computes exactly the rest"
-        )
-    print(
-        f"serve: {len(report.jobs)} job(s); executed {report.executed}, "
-        f"resumed {report.resumed}, errors {report.errors}; "
-        f"steals {report.steals}, reclaims {report.reclaims}, "
-        f"worker deaths {report.worker_deaths}"
-    )
-    return 1 if report.errors else 0
-
-
 def _cmd_status(args) -> int:
     import time
 
@@ -840,7 +805,6 @@ _COMMANDS = {
     "resume": _cmd_resume,
     "status": _cmd_status,
     "sweep": _cmd_sweep,
-    "serve": _cmd_serve,
     "merge": _cmd_merge,
     "report": _cmd_report,
     "version": _cmd_version,

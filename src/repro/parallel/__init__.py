@@ -1,12 +1,12 @@
-"""Parallel sweep machinery: process pools, seeds, and sweep sharding."""
+"""Parallel sweep machinery: the scheduler, seeds, and sweep sharding."""
 
-from .pool import default_workers, fold_results, iter_tasks, run_tasks
 from .rng import SeedFactory, spawn_generators
 from .scheduler import (
     SCHED_EVENT_KIND,
     Lease,
     SweepRunResult,
     SweepScheduler,
+    default_workers,
     run_scheduled,
     scheduler_events_path,
 )
@@ -55,8 +55,6 @@ __all__ = [
     "default_workers",
     "drain_on_signals",
     "find_status_files",
-    "fold_results",
-    "iter_tasks",
     "load_artifact",
     "load_status",
     "merge_artifacts",
@@ -64,7 +62,6 @@ __all__ = [
     "partition_cells",
     "run_scheduled",
     "run_shard",
-    "run_tasks",
     "scheduler_events_path",
     "shard_status_path",
     "spawn_generators",

@@ -41,10 +41,7 @@ Two layers:
   they are accepted (the shard JSONL schema, under the reserved
   ``shard 0/0`` whole-grid marker or a static shard's ``k/K``,
   optionally zstd/gzip compressed), so ``merge_artifacts`` and
-  ``repro merge`` consume it unchanged — and :meth:`SweepScheduler.partial_sweep`
-  lets a coordinator serve partial :class:`~repro.analysis.sweep.SweepResult`
-  views while the grid is still running (the ``repro serve`` loop in
-  :mod:`repro.parallel.serve` does exactly that).
+  ``repro merge`` consume it unchanged.
 
 Scheduler *events* (lease grants, steals, reclaims, requeues, worker
 deaths, duplicate drops) are appended to an ``<artifact>.events.jsonl``
@@ -56,6 +53,7 @@ tests and the CI determinism gate assert re-lease decisions from them.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,7 +62,6 @@ from typing import Callable
 
 from ..telemetry.jsonl import JsonlWriter
 from ..telemetry.manifest import shard_manifest
-from .pool import default_workers
 from .sharding import (
     CELL_KIND,
     SHARD_TELEMETRY_KIND,
@@ -88,6 +85,7 @@ __all__ = [
     "Lease",
     "SweepRunResult",
     "SweepScheduler",
+    "default_workers",
     "run_scheduled",
     "scheduler_events_path",
 ]
@@ -110,6 +108,35 @@ def scheduler_events_path(artifact_path) -> Path:
     """The events sidecar for a scheduler artifact (``<name>.events.jsonl``)."""
     p = Path(artifact_path)
     return p.with_name(p.name + ".events.jsonl")
+
+
+def default_workers(
+    max_workers: int | None = None, n_tasks: int | None = None
+) -> int:
+    """Resolve a worker count: explicit value, else usable CPUs - 1.
+
+    Usable CPUs are this process's affinity set where the platform
+    reports one (``taskset`` and cpusets shrink it below
+    ``os.cpu_count()``), leaving one core for the coordinator.
+    ``n_tasks`` caps the answer at the number of cells to run, so a
+    2-cell shard never spawns a large fleet only to leave most workers
+    idle at fork cost.
+    """
+    if max_workers is not None:
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        workers = max_workers
+    else:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - macOS / Windows
+            cpus = os.cpu_count() or 2
+        workers = max(1, cpus - 1)
+    if n_tasks is not None:
+        if n_tasks < 1:
+            raise ValueError("n_tasks must be >= 1")
+        workers = min(workers, n_tasks)
+    return workers
 
 
 @dataclass(frozen=True)
@@ -166,7 +193,6 @@ class SweepScheduler:
         self.cells = {c.cell_id: c for c in cells}
         if len(self.cells) != len(cells):
             raise ValueError("duplicate cell IDs")
-        self._order = {c.cell_id: i for i, c in enumerate(cells)}
         # Home-queue rank: same sorted-cell-ID ranking partition_cells
         # uses, so a requeued cell returns to the queue it started in.
         self._rank = {
@@ -482,28 +508,6 @@ class SweepScheduler:
             except ValueError:
                 pass
 
-    # -- streaming merge ----------------------------------------------
-    def partial_sweep(self) -> tuple[list[dict], list[dict], list[str]]:
-        """The merge-so-far: ``(rows, errors, missing)``.
-
-        Rows come back in canonical grid order — the same order a
-        completed merge (and the serial sweep) would produce — so a
-        coordinator can serve a monotonically-filling
-        :class:`~repro.analysis.sweep.SweepResult` while the grid is
-        still running.
-        """
-        ordered = sorted(self._order, key=self._order.__getitem__)
-        rows = [
-            dict(self.rows[cid]["summary"]) for cid in ordered if cid in self.rows
-        ]
-        errors = [self.errors[cid] for cid in ordered if cid in self.errors]
-        missing = [
-            cid
-            for cid in ordered
-            if cid not in self.rows and cid not in self.errors
-        ]
-        return rows, errors, missing
-
     # -- invariants (the property-test surface) -----------------------
     def check_invariants(self) -> None:
         """Assert the exactly-once partition; raises ``AssertionError``.
@@ -667,7 +671,6 @@ def run_scheduled(
     max_lease_attempts: int = DEFAULT_MAX_LEASE_ATTEMPTS,
     compression: str | None = None,
     poll_seconds: float = 0.1,
-    on_progress: Callable | None = None,
     mp_context: str | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir=None,
@@ -677,8 +680,8 @@ def run_scheduled(
     """Run a sweep grid — or one static shard of it — into an artifact.
 
     This is the one sweep executor: ``repro sweep`` (sharded or
-    ``--scheduler``), ``repro serve``, and
-    :func:`repro.analysis.sweep.sweep_from_spec` all run through it.
+    ``--scheduler``) and :func:`repro.analysis.sweep.sweep_from_spec`
+    both run through it.
     The coordinator builds every cell's resolved config once
     (:meth:`SweepSpec.cells`) and ships the cells to workers.
 
@@ -697,9 +700,7 @@ def run_scheduled(
     ``serial=True`` runs the cells in this process (one queue, canonical
     order; an exception that is not an ``Exception`` propagates to the
     caller); otherwise ``num_workers`` processes each hold one lease at
-    a time.  ``on_progress`` (optional) is called as
-    ``on_progress(scheduler, result)`` after every accepted record — the
-    serve loop uses it to publish partial sweeps.
+    a time.
 
     Worker deaths (pipe EOF) reclaim the dead worker's lease and
     respawn a replacement; lease expiry (``lease_seconds``;
@@ -723,7 +724,8 @@ def run_scheduled(
     drain gracefully: once it returns true, no new leases are granted,
     in-flight cells finish and their rows are accepted, the status
     sidecar passes through ``draining`` to ``stopped``, and a later
-    ``resume=True`` call computes exactly the remaining cells.
+    ``resume=True`` call computes exactly the remaining cells.  A flag
+    already latched when the run starts spawns no worker process.
     """
     import multiprocessing as mp
     from multiprocessing import connection as mp_conn
@@ -836,8 +838,6 @@ def run_scheduled(
         progress.steals = scheduler.steals
         progress.reclaimed = scheduler.reclaims
         progress.cell_finished(error=error, attempts=attempts)
-        if on_progress is not None:
-            on_progress(scheduler, result)
 
     def _report(worker: str, cell_id: str, status, payload, attempts) -> None:
         now = time.monotonic()
@@ -903,6 +903,8 @@ def run_scheduled(
                 return
 
     def _run_fleet() -> None:
+        if _check_drain():
+            return  # latched before the run: spawn nothing, lease nothing
         for i in range(workers_n):
             fleet[f"w{i}"] = _Worker.spawn(ctx, f"w{i}", i, worker_args)
         for worker in list(fleet.values()):

@@ -72,7 +72,6 @@ from ..telemetry.manifest import (
     stable_fingerprint,
 )
 from ..telemetry.registry import deterministic_view, merge_snapshots
-from .pool import fold_results
 
 __all__ = [
     "CELL_KIND",
@@ -580,7 +579,7 @@ def telemetry_trailer(records: Iterable[dict]) -> dict:
     ]
     return {
         "kind": SHARD_TELEMETRY_KIND,
-        "snapshot": fold_results(snaps, merge_snapshots) if snaps else {},
+        "snapshot": merge_snapshots(*snaps) if snaps else {},
     }
 
 
@@ -788,9 +787,7 @@ def merge_artifacts(
             errors.append(errors_by_id[cell.cell_id])
         else:
             missing.append(cell.cell_id)
-    merged_snapshot = (
-        fold_results(snaps, merge_snapshots) if snaps else None
-    )
+    merged_snapshot = merge_snapshots(*snaps) if snaps else None
     return MergedSweep(
         spec=spec,
         sweep=SweepResult(rows=rows, telemetry=merged_snapshot),

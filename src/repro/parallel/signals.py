@@ -1,11 +1,11 @@
 """Graceful-drain signal handling for long-running sweep processes.
 
-``kill -TERM`` (or Ctrl-C) against a shard runner, the scheduler, or
-``repro serve`` should not tear the process mid-cell: artifacts are
-append-only and atomic per row, but an abrupt exit discards the
-in-flight cell's work and leaves the status sidecar claiming
-``running`` forever.  :func:`drain_on_signals` installs SIGTERM/SIGINT
-handlers that merely *latch* a :class:`DrainFlag`; the work loops poll
+``kill -TERM`` (or Ctrl-C) against a shard runner or the scheduler
+should not tear the process mid-cell: artifacts are append-only and
+atomic per row, but an abrupt exit discards the in-flight cell's work
+and leaves the status sidecar claiming ``running`` forever.
+:func:`drain_on_signals` installs SIGTERM/SIGINT handlers that merely
+*latch* a :class:`DrainFlag`; the work loops poll
 the flag at safe boundaries (cell boundaries for sweeps, round
 boundaries inside a checkpointing engine), finish the unit they are
 on, snapshot/republish status, and return cleanly.

@@ -8,12 +8,15 @@ The process driver's integration surface lives in
 interleavings in ``test_scheduler_properties.py``.
 """
 
+import os
+
 import pytest
 
 from repro.config import paper_config
 from repro.parallel.scheduler import (
     SCHED_EVENT_KIND,
     SweepScheduler,
+    default_workers,
     run_scheduled,
     scheduler_events_path,
 )
@@ -215,25 +218,37 @@ class TestReclaim:
         sched.check_invariants()
 
 
-class TestPartialSweep:
-    def test_rows_come_back_in_canonical_order(self):
-        cells = make_cells(4)
-        sched = SweepScheduler(cells, 2)
-        # Finish cells in scrambled order; the partial merge must still
-        # come back in grid-enumeration order.
-        for i in (2, 0, 3, 1):
-            sched.complete("w0", cells[i].cell_id, {"seed": i}, 1, 0.0)
-        rows, errors, missing = sched.partial_sweep()
-        assert [r["seed"] for r in rows] == [0, 1, 2, 3]
-        assert not errors and not missing
+class TestDefaultWorkers:
+    def test_explicit_value(self):
+        assert default_workers(3) == 3
 
-    def test_missing_lists_unfinished_cells(self):
-        cells = make_cells(3)
-        sched = SweepScheduler(cells, 1)
-        got = sched.acquire("w0", 0, 0.0)
-        sched.complete("w0", got.cell_id, {}, 1, 0.0)
-        rows, errors, missing = sched.partial_sweep()
-        assert len(rows) == 1 and len(missing) == 2
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            default_workers(0)
+
+    def test_auto_leaves_headroom(self):
+        w = default_workers()
+        assert 1 <= w <= (os.cpu_count() or 2)
+
+    def test_auto_counts_only_cpus_this_process_may_use(self, monkeypatch):
+        # Under taskset or a cpuset the affinity set, not the host's
+        # CPU count, bounds the fleet.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert default_workers() == 1
+
+    def test_clamps_to_task_count(self):
+        """Regression: a 2-cell shard must not spawn cpu_count-1
+        workers — the fleet is capped at one worker per cell."""
+        assert default_workers(None, n_tasks=2) <= 2
+        assert default_workers(8, n_tasks=3) == 3
+        assert default_workers(2, n_tasks=5) == 2
+
+    def test_task_count_keeps_floor_of_one(self):
+        assert default_workers(None, n_tasks=1) == 1
+        with pytest.raises(ValueError):
+            default_workers(None, n_tasks=0)
 
 
 SPEC = SweepSpec(

@@ -129,9 +129,6 @@ class TestExactlyOnce:
         finished = set(sched.rows) | set(sched.errors)
         assert finished == {c.cell_id for c in cells}
         assert not (set(sched.rows) & set(sched.errors))
-        rows, errors, missing = sched.partial_sweep()
-        assert not missing
-        assert len(rows) + len(errors) == n_cells
         # Attempt budget held for every cell that ever leased.
         assert all(
             1 <= a <= max_attempts for a in sched.attempts.values()

@@ -34,6 +34,28 @@ class TestParser:
         args = build_parser().parse_args(argv + ["--backend", "numpy"])
         assert args.backend == "numpy"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--workers", "0"],
+            ["sweep", "--retries", "-1"],
+            ["sweep", "--lease-seconds", "0"],
+            ["sweep", "--lease-seconds", "-1"],
+            ["sweep", "--checkpoint-every", "0", "--checkpoint-dir", "d"],
+            ["scenario", "table2", "--checkpoint-every", "0"],
+            ["scenario", "table2", "--keep-last", "0"],
+            ["resume", "x.ckpt", "--checkpoint-every", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_numbers_rejected_at_the_parser(self, argv, capsys):
+        # Each used to surface late: a traceback, per-cell error rows,
+        # or checkpointing silently switched off.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_backend_defaults_to_auto(self):
         assert build_parser().parse_args(["quickstart"]).backend == "auto"
 
@@ -353,44 +375,6 @@ class TestSchedulerCli:
         )
         assert rc == 2
         assert "zstandard" in capsys.readouterr().err
-
-
-class TestServeCli:
-    def _write_job(self, jobs_dir, name, **options):
-        import json
-
-        from repro.parallel.sharding import SweepSpec
-
-        spec = SweepSpec(
-            protocols=("direct",), lambdas=(4.0, 8.0), seeds=(0, 1),
-            rounds=2,
-        )
-        jobs_dir.mkdir(parents=True, exist_ok=True)
-        (jobs_dir / f"{name}.job.json").write_text(
-            json.dumps({"spec": spec.to_payload(), **options})
-        )
-
-    def test_serve_once_runs_catalog(self, tmp_path, capsys):
-        self._write_job(tmp_path, "tiny", compression="gz")
-        assert main(["serve", str(tmp_path), "--once", "--workers", "1"]) == 0
-        stdout = capsys.readouterr().out
-        assert "serve: 1 job(s)" in stdout
-        assert "executed 4" in stdout
-        artifact = tmp_path / "artifacts" / "tiny.jsonl.gz"
-        assert artifact.exists()
-        # The serve directory is a normal fleet for the other commands.
-        capsys.readouterr()
-        assert main(["merge", str(artifact), "--strict"]) == 0
-        assert main(["status", str(tmp_path)]) == 0
-
-    def test_serve_cycles_resume_idempotently(self, tmp_path, capsys):
-        self._write_job(tmp_path, "tiny")
-        assert main(
-            ["serve", str(tmp_path), "--cycles", "2", "--idle", "0",
-             "--workers", "1"]
-        ) == 0
-        # The report covers the LAST cycle: a pure resume.
-        assert "executed 0, resumed 4" in capsys.readouterr().out
 
 
 class TestStatusUnderScheduler:
