@@ -247,33 +247,6 @@ def check_cell_record(obj: dict, where: str) -> list[str]:
     return errors
 
 
-def check_tolerance_record(obj: dict, where: str) -> list[str]:
-    """A ``kind: "tolerance"`` line documents one entry of the gate's
-    tolerance schema; it must match the code in
-    ``repro.kernels.gates.METRIC_TOLERANCES`` exactly, so the docs can
-    never advertise allowances the gate does not enforce."""
-    from repro.kernels.gates import METRIC_TOLERANCES
-
-    errors = []
-    metric = obj.get("metric")
-    if metric not in METRIC_TOLERANCES:
-        errors.append(
-            f"{where}: tolerance metric {metric!r} is not gated "
-            f"(known: {sorted(METRIC_TOLERANCES)})"
-        )
-        return errors
-    declared = METRIC_TOLERANCES[metric]
-    for key in ("abs", "rel"):
-        if not isinstance(obj.get(key), (int, float)):
-            errors.append(f"{where}: tolerance needs numeric {key!r}")
-        elif float(obj[key]) != float(declared[key]):
-            errors.append(
-                f"{where}: tolerance {key}={obj[key]} for {metric!r} "
-                f"disagrees with METRIC_TOLERANCES ({declared[key]})"
-            )
-    return errors
-
-
 def check_trace_summary(obj: dict, where: str) -> list[str]:
     errors = _check_keys(obj, TRACE_SUMMARY_KEYS, "trace summary", where)
     if obj.get("schema") != TRACE_SCHEMA:
@@ -402,8 +375,6 @@ def check_file(path: Path) -> list[str]:
                     errors.append(
                         f"{where}: shard-telemetry needs a dict 'snapshot'"
                     )
-            elif kind == "tolerance":
-                errors.extend(check_tolerance_record(obj, where))
             elif kind == SPAN_KIND:
                 errors.extend(_check_keys(obj, SPAN_KEYS, "span", where))
             elif kind == INSTANT_KIND:

@@ -34,7 +34,7 @@ the registry's phase-timer cache, the span sink shared by the
 instrument handle, kernel wrapper and fault injector) are preserved by
 the pickle memo; derived geometry (``Topology``'s node->BS distances)
 is recomputed on load by the same call that built it; and kernel
-backends reduce to their registry ``(name, equivalence)`` and are
+backends reduce to their registry name and are
 re-resolved through ``get_backend`` on load — compiled
 backends are never serialized, and the registry's bit-identical
 contract makes the swap invisible.  The payload is written and read by
@@ -85,7 +85,8 @@ CHECKPOINT_KIND = "engine-checkpoint"
 #: engine's one instrument handle carries the span sink
 #: (``Telemetry.spans``; no ``engine.tracer``), and ``Topology`` drops
 #: its derived node->BS distances, recomputing them on restore.
-CHECKPOINT_SCHEMA = 3
+#: Schema 4: kernel backends pickle by registry name alone.
+CHECKPOINT_SCHEMA = 4
 
 #: Snapshot filename suffix (``<tag>-r<round:08d>.ckpt``).
 CHECKPOINT_SUFFIX = ".ckpt"

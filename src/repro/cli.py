@@ -53,23 +53,23 @@ class _VersionAction(argparse.Action):
 
 
 def _add_backend_arg(cmd: argparse.ArgumentParser) -> None:
+    from .config import EQUIVALENCE_CHOICES
+
     cmd.add_argument(
         "--backend", type=str, default="auto",
         choices=("auto", "numpy", "numba"),
         help="kernel backend for the batched slot pipeline; 'auto' "
              "prefers the compiled backend and falls back to the numpy "
-             "reference (bit-identical under the default tier)",
+             "reference (bit-identical either way)",
     )
     cmd.add_argument(
         "--equivalence", type=str, default="bitwise",
-        choices=("bitwise", "statistical"),
-        help="numeric equivalence tier: 'bitwise' (default) guarantees "
-             "bit-identical results across backends and admits golden "
-             "traces; 'statistical' licenses reassociated/fastmath "
-             "kernels validated distributionally (see docs/kernels.md)",
+        choices=EQUIVALENCE_CHOICES,
+        help="numeric contract; 'bitwise' (the only one) guarantees "
+             "bit-identical results across backends",
     )
     cmd.add_argument(
-        "--max-block-mb", type=float, default=None, metavar="MB",
+        "--max-block-mb", type=_positive_float, default=None, metavar="MB",
         help="stream the relay-scoring distance block in chunks so its "
              "temporaries stay under this budget (large-N runs); "
              "bit-identical to the unblocked computation",
@@ -181,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument("--protocols", type=str, nargs="+",
                      default=["qlec", "fcm", "kmeans"])
-    swp.add_argument("--lambdas", type=float, nargs="+",
+    swp.add_argument("--lambdas", type=_positive_float, nargs="+",
                      default=[2.0, 4.0, 8.0, 16.0])
     swp.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    swp.add_argument("--rounds", type=int, default=20)
-    swp.add_argument("--energy", type=float, default=0.25)
+    swp.add_argument("--rounds", type=_positive_int, default=20)
+    swp.add_argument("--energy", type=_positive_float, default=0.25)
     swp.add_argument("--shard", type=str, default="1/1", metavar="k/K",
                      help="which shard of the grid this invocation runs")
     swp.add_argument("--out", type=str, default=None,
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the merged telemetry breakdown")
 
     fig4 = sub.add_parser("fig4", help="large-scale dataset run (Fig. 4)")
-    fig4.add_argument("--nodes", type=int, default=2896)
+    fig4.add_argument("--nodes", type=_positive_int, default=2896)
     fig4.add_argument("--clusters", type=int, default=272)
     fig4.add_argument("--rounds", type=int, default=10)
     fig4.add_argument("--seed", type=int, default=0)
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     abl.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
 
     life = sub.add_parser("lifespan", help="alive curves + FND/HND/LND")
-    life.add_argument("--rounds", type=int, default=60)
+    life.add_argument("--rounds", type=_positive_int, default=60)
     life.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     life.add_argument("--energy", type=float, default=0.1)
 
@@ -331,8 +331,7 @@ def _cmd_quickstart(args) -> int:
         run_cell(
             name, args.lam, args.seed,
             telemetry=args.telemetry, backend=args.backend,
-            equivalence=args.equivalence, max_block_mb=args.max_block_mb,
-            routing=args.routing,
+            max_block_mb=args.max_block_mb, routing=args.routing,
         )
         for name in ("qlec", "fcm", "kmeans", "deec", "leach", "direct")
     ]
@@ -360,7 +359,6 @@ def _cmd_fig3(args) -> int:
                 serial=args.serial,
                 telemetry=args.telemetry,
                 backend=args.backend,
-                equivalence=args.equivalence,
                 max_block_mb=args.max_block_mb,
             )
         )
@@ -383,7 +381,6 @@ def _cmd_fig4(args) -> int:
             dataset_path=args.csv,
             compare=("fcm", "kmeans") if args.compare else (),
             backend=args.backend,
-            equivalence=args.equivalence,
             max_block_mb=args.max_block_mb,
         )
     )
@@ -478,10 +475,8 @@ def _cmd_scenario(args) -> int:
         print("\n".join(scenario_names()))
         return 0
     config, nodes, bs = build_scenario(args.name, seed=args.seed)
-    if args.equivalence != "bitwise" or args.max_block_mb is not None:
-        config = config.replace(
-            equivalence=args.equivalence, max_block_mb=args.max_block_mb
-        )
+    if args.max_block_mb is not None:
+        config = config.replace(max_block_mb=args.max_block_mb)
     if args.routing != "direct":
         from .config import RoutingConfig
 
@@ -653,7 +648,6 @@ def _cmd_sweep(args) -> int:
         telemetry=args.telemetry,
         backend=args.backend,
         faults=args.faults,
-        equivalence=args.equivalence,
         max_block_mb=args.max_block_mb,
         routing=args.routing,
         overrides=_parse_overrides(args.set),
@@ -814,23 +808,20 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     from .checkpoint import CheckpointError
-    from .kernels import BackendUnavailableError, EquivalenceError
+    from .kernels import BackendUnavailableError
     from .telemetry.jsonl import CompressionUnavailableError
 
     try:
         return _COMMANDS[args.command](args)
     except (
         BackendUnavailableError,
-        EquivalenceError,
         CompressionUnavailableError,
         CheckpointError,
     ) as exc:
         # An explicitly requested backend or codec the host cannot
-        # provide — or a tier combination the policy forbids
-        # (statistical + golden traces, cross-tier merges), or a
-        # snapshot that fails validation (corrupt, wrong config,
-        # wrong version) — is a usage error, not a crash: say what
-        # is wrong and how to proceed, exit distinctly.
+        # provide, or a snapshot that fails validation (corrupt, wrong
+        # config, wrong version), is a usage error, not a crash: say
+        # what is wrong and how to proceed, exit distinctly.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,13 +42,9 @@ __all__ = [
     "paper_config",
 ]
 
-#: Numeric equivalence tiers a run may declare (single source of truth;
-#: ``repro.kernels`` re-exports it).  ``bitwise`` is the CI-gated
-#: default: every backend reproduces the numpy reference bit for bit.
-#: ``statistical`` admits reassociating reducers and fastmath-compiled
-#: kernels, verified distributionally (``repro.kernels.gates``) instead
-#: of bitwise.
-EQUIVALENCE_CHOICES = ("bitwise", "statistical")
+#: Numeric contracts a run may declare.  ``bitwise`` is the only one:
+#: every backend reproduces the numpy reference bit for bit.
+EQUIVALENCE_CHOICES = ("bitwise",)
 
 #: Multi-hop routing substrates for the cluster-head uplink
 #: (``repro.routing``).  ``direct`` is the bit-identical default: the
@@ -362,22 +358,16 @@ class SimulationConfig:
     #: but the *resolved* name is part of run identity (manifests,
     #: sharding cell IDs) and therefore of the config fingerprint.
     backend: str = "auto"
-    #: Numeric equivalence tier (see :data:`EQUIVALENCE_CHOICES`).
-    #: ``bitwise`` (default) keeps the golden-trace guarantees: every
-    #: kernel reproduces the numpy reference bit for bit.
-    #: ``statistical`` licenses reassociating reducers (GEMM-form
-    #: distances) and fastmath compilation; results are validated
-    #: distributionally (per-metric means over seed batches within the
-    #: declared tolerances of :mod:`repro.kernels.gates`) rather than
-    #: bitwise.  The tier is part of run identity: it fingerprints,
-    #: rides in manifests, and hashes into sharding cell IDs, so
-    #: artifacts from different tiers never silently mix.
+    #: Numeric contract (see :data:`EQUIVALENCE_CHOICES`); only
+    #: ``bitwise``.  Kept because the benchmark harness sets it, and
+    #: because it enters the fingerprint: dropping it would change every
+    #: config fingerprint and sweep cell ID.
     equivalence: str = "bitwise"
     #: Memory budget (MiB) for the dense ``(senders, actions)`` distance
     #: blocks of the batched relay-scoring path.  ``None`` computes each
     #: block in one shot; a budget streams the block in row chunks
     #: sized to fit (bit-identical per row — the reduction is per
-    #: element — so the bitwise tier is unaffected).  Large deployments
+    #: element — so results are unaffected).  Large deployments
     #: (N >= 1e5) should set this to keep peak memory O(budget) instead
     #: of O(senders x actions).
     max_block_mb: float | None = None
@@ -385,7 +375,7 @@ class SimulationConfig:
     #: (:mod:`repro.routing`).  The default ``direct`` kind keeps the
     #: substrate inert — the NULL-substrate pattern shared with faults
     #: and telemetry — so golden traces stay bit-identical.  Like the
-    #: backend and equivalence tier, routing is part of run identity:
+    #: backend, routing is part of run identity:
     #: it fingerprints and hashes into sharding cell IDs.
     routing: RoutingConfig = field(default_factory=RoutingConfig)
     seed: int = 0

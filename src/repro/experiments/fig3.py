@@ -56,8 +56,6 @@ class Fig3Config:
     telemetry: bool = False
     #: Kernel-backend selector for every cell (``auto``/``numpy``/...).
     backend: str = "auto"
-    #: Numeric equivalence tier (``bitwise``/``statistical``).
-    equivalence: str = "bitwise"
     #: Optional distance-block memory budget in MiB (large-N runs).
     max_block_mb: float | None = None
 
@@ -118,7 +116,6 @@ def fig3_spec(config: Fig3Config | None = None) -> SweepSpec:
         rounds=cfg.rounds,
         telemetry=cfg.telemetry,
         backend=cfg.backend,
-        equivalence=cfg.equivalence,
         max_block_mb=cfg.max_block_mb,
     )
 
@@ -161,7 +158,6 @@ def fig3_from_artifacts(paths) -> Fig3Result:
         initial_energy=spec.initial_energy,
         rounds=spec.rounds,
         telemetry=spec.telemetry,
-        equivalence=spec.equivalence,
         max_block_mb=spec.max_block_mb,
     )
     return run_fig3(cfg, sweep=merged.sweep)

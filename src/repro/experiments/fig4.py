@@ -61,9 +61,6 @@ class Fig4Config:
     #: Kernel-backend selector (``auto``/``numpy``/...); the large grid
     #: is where a compiled backend pays off most.
     backend: str = "auto"
-    #: Numeric equivalence tier; the large grid is also where the
-    #: statistical tier's GEMM distances pay off most.
-    equivalence: str = "bitwise"
     #: Optional distance-block memory budget in MiB.
     max_block_mb: float | None = None
 
@@ -142,7 +139,6 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Report:
         n_clusters=cfg.n_clusters,
         seed=cfg.seed,
         backend=cfg.backend,
-        equivalence=cfg.equivalence,
         max_block_mb=cfg.max_block_mb,
     )
     def run_protocol(protocol: ClusteringProtocol) -> SimulationResult:

@@ -2,39 +2,24 @@
 
 Public surface of the subsystem (see ``docs/kernels.md``):
 
-* :class:`KernelBackend` — the kernel contract and equivalence policy.
+* :class:`KernelBackend` — the kernel contract and bit-equivalence policy.
 * :class:`NumpyBackend` / :class:`NumbaBackend` — the reference and the
   optional jitted implementation.
 * :func:`resolve_backend` / :func:`resolve_backend_name` — selector
   resolution (``auto`` / ``numpy`` / ``numba`` / a registered name).
 * :func:`register_backend`, :func:`available_backends`,
   :func:`backend_versions` — registry and capability detection.
-* :data:`EQUIVALENCE_CHOICES` / :class:`EquivalenceError` — the
-  numeric equivalence tiers and their policy violation.
-* :func:`run_statistical_gate` / :data:`METRIC_TOLERANCES` — the
-  distributional gate that qualifies statistical-tier backends.
 
-Under the default ``bitwise`` tier every backend is bit-identical to
-the numpy reference by contract — selection changes wall-clock only,
-never results.  The ``statistical`` tier trades that guarantee for
-reassociated/fastmath kernels, gated distributionally instead
-(:mod:`repro.kernels.gates`).
+Every backend is bit-identical to the numpy reference by contract —
+selection changes wall-clock only, never results.
 """
 
-from .base import BackendUnavailableError, EquivalenceError, KernelBackend
-from .gates import (
-    GATED_METRICS,
-    METRIC_TOLERANCES,
-    GateMetric,
-    GateReport,
-    run_statistical_gate,
-)
+from .base import BackendUnavailableError, KernelBackend
 from .numba_backend import NumbaBackend, numba_version
 from .numpy_backend import NumpyBackend
 from .profiling import ProfiledBackend
 from .registry import (
     BACKEND_CHOICES,
-    EQUIVALENCE_CHOICES,
     available_backends,
     backend_available,
     backend_names,
@@ -48,13 +33,7 @@ from .registry import (
 
 __all__ = [
     "BACKEND_CHOICES",
-    "EQUIVALENCE_CHOICES",
-    "GATED_METRICS",
-    "METRIC_TOLERANCES",
     "BackendUnavailableError",
-    "EquivalenceError",
-    "GateMetric",
-    "GateReport",
     "KernelBackend",
     "NumbaBackend",
     "NumpyBackend",
@@ -69,5 +48,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "resolve_backend_name",
-    "run_statistical_gate",
 ]

@@ -7,26 +7,14 @@ plus the Q-combine behind relay scoring.  The engine resolves one
 backend per run and threads it through the substrates; protocols and
 the engine itself never branch on the backend.
 
-Equivalence tiers (load-bearing — read before adding a backend)
-----------------------------------------------------------------
-Every backend instance operates under an **equivalence tier**
-(:data:`EQUIVALENCE_CHOICES`, from :mod:`repro.config`):
+Bit-equivalence (load-bearing — read before adding a backend)
+--------------------------------------------------------------
+Every backend MUST be bit-identical to the numpy reference on every
+method, for all inputs the substrates produce.  The golden traces and
+the scalar/batched equivalence suite enforce this end-to-end; the
+property suite in ``tests/kernels`` enforces it per kernel.
 
-* ``bitwise`` (default) — the instance MUST be bit-identical to the
-  numpy reference on every method, for all inputs the substrates
-  produce.  The golden traces and the scalar/batched equivalence suite
-  enforce this end-to-end; the property suite in ``tests/kernels``
-  enforces it per kernel.
-* ``statistical`` — the instance may reassociate reductions (GEMM-form
-  distances) and compile with fastmath; correctness is enforced
-  *distributionally* by :mod:`repro.kernels.gates` (per-metric means
-  over a seed batch vs the numpy reference, within declared
-  tolerances).  A bitwise instance trivially satisfies the statistical
-  tier; the converse never holds, so the registry refuses to serve a
-  statistical instance to a bitwise run
-  (:class:`EquivalenceError`).
-
-Three rules make the *bitwise* tier achievable at all:
+Three rules make that achievable at all:
 
 1. **Exact ops only inside kernels.**  IEEE-754 ``+ - * /``, ``sqrt``,
    comparisons, min/max and integer ops are correctly rounded and give
@@ -46,7 +34,7 @@ Three rules make the *bitwise* tier achievable at all:
    length-3 reduction, which the golden traces were recorded with, and
    ``tests/kernels/test_euclidean.py`` pins the two equal).  Reducers
    that reassociate (``ndarray.sum`` is pairwise) stay out of kernels.
-3. **No fastmath, no FMA contraction.**  Compiled backends must keep
+3. **Strict IEEE, no FMA contraction.**  Compiled backends must keep
    strict IEEE semantics (numba's default); a fused multiply-add
    changes the rounding of ``a*b + c`` and breaks rule 1.
 
@@ -63,12 +51,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..config import EQUIVALENCE_CHOICES
-
 __all__ = [
-    "EQUIVALENCE_CHOICES",
     "BackendUnavailableError",
-    "EquivalenceError",
     "KernelBackend",
     "budget_rows",
     "euclidean",
@@ -110,13 +94,6 @@ class BackendUnavailableError(RuntimeError):
     (e.g. ``--backend numba`` without the optional numba package)."""
 
 
-class EquivalenceError(RuntimeError):
-    """An equivalence-tier policy violation: a statistical-tier backend
-    offered to a bitwise run, a statistical run asked to record golden
-    traces, or a cross-tier artifact merge.  The CLI turns this into
-    exit code 2 (a usage error, like :class:`BackendUnavailableError`)."""
-
-
 class KernelBackend(abc.ABC):
     """Abstract contract every kernel backend implements.
 
@@ -128,20 +105,14 @@ class KernelBackend(abc.ABC):
     #: Registry name ("numpy", "numba", ...); never "auto".
     name: ClassVar[str] = ""
 
-    #: Equivalence tier the instance operates under (see module
-    #: docstring).  Class default is the strict tier; tier-aware
-    #: constructors set the instance attribute.
-    equivalence: str = "bitwise"
-
     # -- geometry ------------------------------------------------------
     @abc.abstractmethod
     def distance_block(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Euclidean distance block ``(len(src), len(dst))`` between two
         position sets of shape ``(n, 3)`` / ``(m, 3)``.
 
-        In the bitwise tier every element is :func:`euclidean` of its
-        pair (see module docstring).  Statistical-tier instances may use
-        the reassociating GEMM expansion instead.
+        Every element is :func:`euclidean` of its pair (see module
+        docstring).
         """
 
     def distance_block_blocked(
@@ -157,9 +128,8 @@ class KernelBackend(abc.ABC):
         :func:`budget_rows` rows.  Each output element is a complete,
         independent reduction (the sum of squares reduces over the 3
         coordinates only), so the chunked result is **bit-identical** to the
-        unblocked call for every chunk size; in the bitwise tier this
-        method is therefore exactly :meth:`distance_block` with bounded
-        memory.  ``None`` (or a budget the whole block already fits)
+        unblocked call for every chunk size; this method is therefore
+        exactly :meth:`distance_block` with bounded memory.  ``None`` (or a budget the whole block already fits)
         delegates to the one-shot path.
         """
         src = np.asarray(src)
@@ -302,14 +272,14 @@ class KernelBackend(abc.ABC):
         """Pickle by registry identity, not by value.
 
         Backends are process-local singletons with a bit-identical
-        contract, so ``(name, equivalence)`` is all a pickle needs; the
+        contract, so the name is all a pickle needs; the
         unpickling process resolves it through :func:`get_backend`
         (raising :class:`BackendUnavailableError` where the backend
         cannot run), and compiled kernel tables are never serialized.
         """
         from .registry import get_backend
 
-        return get_backend, (self.name, self.equivalence)
+        return get_backend, (self.name,)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

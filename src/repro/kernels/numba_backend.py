@@ -7,8 +7,9 @@ Constructing :class:`NumbaBackend` without numba raises
 
 What is jitted and what is not
 ------------------------------
-Jitted (exact ops only, strict IEEE — **no** ``fastmath``, which would
-license FMA contraction and reassociation and break bit-equivalence):
+Jitted (exact ops only, strict IEEE — numba's default; relaxed-math
+compilation would license FMA contraction and reassociation and break
+bit-equivalence):
 
 * ``grouped_discharge`` — one sort + one pass replaces the reference's
   unique/bincount/mask/scatter chain.
@@ -28,24 +29,13 @@ policy in :mod:`repro.kernels.base`):
   nothing to fuse.
 * ``bernoulli`` — a single exact vector compare on uniforms drawn by
   the caller's numpy Generator; nothing to fuse.
-
-Statistical tier
-----------------
-Constructed with ``equivalence="statistical"`` the backend compiles the
-same kernel bodies with ``fastmath=True`` (LLVM may contract FMAs,
-reassociate, and vectorize reductions) and inherits the GEMM-form
-distance block from the statistical numpy reference.  The rounding
-guarantees above no longer hold; the tier is validated by the
-distributional gates in :mod:`repro.kernels.gates` instead of the
-bitwise suites.  Each tier compiles its own kernel table (cached per
-process), so bitwise and statistical instances never share code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EQUIVALENCE_CHOICES, BackendUnavailableError
+from .base import BackendUnavailableError
 from .numpy_backend import NumpyBackend
 
 __all__ = ["NumbaBackend", "numba_version"]
@@ -64,23 +54,18 @@ def numba_version() -> str | None:
     return getattr(numba, "__version__", "unknown")
 
 
-#: Compiled kernel tables, one per fastmath flag (bitwise compiles
-#: strict-IEEE, statistical compiles ``fastmath=True``), each built
-#: once per process on first use.
-_COMPILED: dict[bool, dict] = {}
+#: The compiled kernel table (strict IEEE), built once per process on
+#: first use.
+_COMPILED: dict | None = None
 
 
-def _compiled_kernels(fastmath: bool = False) -> dict:
-    table = _COMPILED.get(fastmath)
-    if table is None:
+def _compiled_kernels() -> dict:
+    global _COMPILED
+    if _COMPILED is None:
         import numba
 
-        def jit(fn):
-            return numba.njit(fastmath=fastmath)(fn)
-
-        table = _build_kernels(jit)
-        _COMPILED[fastmath] = table
-    return table
+        _COMPILED = _build_kernels(numba.njit)
+    return _COMPILED
 
 
 def _build_kernels(njit) -> dict:
@@ -223,20 +208,14 @@ class NumbaBackend(NumpyBackend):
 
     name = "numba"
 
-    def __init__(self, equivalence: str = "bitwise") -> None:
-        if equivalence not in EQUIVALENCE_CHOICES:
-            raise ValueError(
-                f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
-                f"got {equivalence!r}"
-            )
+    def __init__(self) -> None:
         if numba_version() is None:
             raise BackendUnavailableError(
                 "kernel backend 'numba' requires the optional numba package "
                 "(pip install 'repro[numba]'); use --backend numpy, or "
                 "--backend auto to fall back automatically"
             )
-        super().__init__(equivalence)
-        self._k = _compiled_kernels(fastmath=equivalence == "statistical")
+        self._k = _compiled_kernels()
 
     def grouped_discharge(self, residual, alive, idx, amounts, death_line):
         return self._k["grouped_discharge"](

@@ -4,20 +4,13 @@ This is the code that *defines* correct behaviour: every method keeps
 the per-element expression trees of the batched substrate code the
 golden traces pin, behind the :class:`~repro.kernels.base.KernelBackend`
 contract.  Other backends are validated against it bit for bit.
-
-Under the ``statistical`` equivalence tier the distance block switches
-to the GEMM expansion ``sqrt(|a|^2 + |b|^2 - 2 a.b)`` — one BLAS matmul
-instead of the per-coordinate sum of squares of :func:`euclidean`,
-faster on large blocks but a *reassociated* reduction, hence licensed
-only outside the bitwise tier (it is gated distributionally, see
-:mod:`repro.kernels.gates`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EQUIVALENCE_CHOICES, KernelBackend, euclidean
+from .base import KernelBackend, euclidean
 
 __all__ = ["NumpyBackend", "expected_q_tree"]
 
@@ -27,31 +20,9 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
 
-    def __init__(self, equivalence: str = "bitwise") -> None:
-        if equivalence not in EQUIVALENCE_CHOICES:
-            raise ValueError(
-                f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
-                f"got {equivalence!r}"
-            )
-        self.equivalence = equivalence
-
     # -- geometry ------------------------------------------------------
     def distance_block(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        if self.equivalence == "statistical":
-            return self._distance_block_gemm(src, dst)
         return euclidean(src[:, None, :], dst[None, :, :])
-
-    @staticmethod
-    def _distance_block_gemm(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        src = np.ascontiguousarray(src, dtype=np.float64)
-        dst = np.ascontiguousarray(dst, dtype=np.float64)
-        sq = np.einsum("ij,ij->i", src, src)[:, None] + np.einsum(
-            "ij,ij->i", dst, dst
-        )
-        sq -= 2.0 * (src @ dst.T)
-        # Cancellation can push a zero distance a few ulps negative.
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq, out=sq)
 
     def distance_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return euclidean(src, dst)

@@ -15,7 +15,7 @@ pipeline phase that issued it.
 The wrapper is numerically invisible: every method delegates to the
 inner backend unchanged (``distance_block_blocked`` delegates the
 *whole* chunked call, so one engine-level call counts once), the
-``name``/``equivalence`` attributes proxy the inner instance, and no
+``name`` attribute proxies the inner instance, and no
 hook touches an RNG stream — profiled runs are bit-identical to bare
 ones.  The engine only wraps when profiling is requested
 (``Telemetry(profile_kernels=True)`` or an attached span sink),
@@ -61,7 +61,6 @@ class ProfiledBackend(KernelBackend):
         # Proxy the inner identity: manifests and fingerprints must
         # record the backend that does the arithmetic, not the wrapper.
         self.name = inner.name
-        self.equivalence = inner.equivalence
         #: method -> (calls, elements, bytes, time) metric cache so the
         #: hot path skips registry dict lookups after first use.
         self._counters: dict[str, tuple] = {}

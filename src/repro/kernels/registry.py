@@ -11,15 +11,9 @@ Selection semantics (mirrored by the CLI's ``--backend`` flag and
 * ``"auto"`` — numba when available, else the numpy reference with a
   once-per-process :class:`RuntimeWarning` (graceful degradation).
 
-Orthogonally to the *name*, every resolution carries an **equivalence
-tier** (``bitwise``/``statistical``, see :mod:`repro.kernels.base`):
-singletons are cached per ``(name, tier)``, factories that accept an
-``equivalence`` keyword are constructed tier-aware, and factories that
-do not (third-party bitwise-only backends) are constructed plainly —
-a bitwise instance trivially satisfies the statistical tier.  The
-reverse is a policy violation: offering a statistical instance to a
-bitwise resolution raises
-:class:`~repro.kernels.base.EquivalenceError`.
+Every backend is bit-identical to the numpy reference (see
+:mod:`repro.kernels.base`), so one zero-argument factory call per name
+builds the process-wide singleton.
 
 Third-party backends plug in via :func:`register_backend`; resolved
 backend *names* (never ``"auto"``) are what run manifests and sharding
@@ -29,18 +23,13 @@ mix.
 
 from __future__ import annotations
 
-import inspect
 import warnings
 from collections.abc import Callable
 
 import numpy as np
 
-from .base import (
-    EQUIVALENCE_CHOICES,
-    BackendUnavailableError,
-    EquivalenceError,
-    KernelBackend,
-)
+from ..config import EQUIVALENCE_CHOICES
+from .base import BackendUnavailableError, KernelBackend
 from .numba_backend import NumbaBackend, numba_version
 from .numpy_backend import NumpyBackend
 
@@ -60,12 +49,12 @@ __all__ = [
 #: Selector values the CLI / config accept out of the box.
 BACKEND_CHOICES = ("auto", "numpy", "numba")
 
-_FACTORIES: dict[str, Callable[..., KernelBackend]] = {}
+_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
 #: Cheap availability probes (no construction / compilation).
 _PROBES: dict[str, Callable[[], bool]] = {}
-#: Constructed singletons keyed ``(name, equivalence)``; compiled
-#: backends build each tier's kernel table once.
-_INSTANCES: dict[tuple[str, str], KernelBackend] = {}
+#: Constructed singletons keyed by name; compiled backends build their
+#: kernel table once.
+_INSTANCES: dict[str, KernelBackend] = {}
 #: Once-per-process latch for the ``auto`` -> numpy degradation
 #: warning.  Reset via :func:`_reset_for_tests` so test suites can
 #: assert the warning without leaking the latch across runs.
@@ -83,17 +72,9 @@ def _reset_for_tests() -> None:
     _warned_fallback = False
 
 
-def _check_equivalence(equivalence: str) -> None:
-    if equivalence not in EQUIVALENCE_CHOICES:
-        raise ValueError(
-            f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
-            f"got {equivalence!r}"
-        )
-
-
 def register_backend(
     name: str,
-    factory: Callable[..., KernelBackend],
+    factory: Callable[[], KernelBackend],
     *,
     probe: Callable[[], bool] | None = None,
     override: bool = False,
@@ -102,9 +83,6 @@ def register_backend(
 
     ``probe`` is an optional cheap availability check (import test, not
     construction); without one, availability is probed by constructing.
-    A factory that accepts an ``equivalence`` keyword is constructed
-    tier-aware; a zero-argument factory yields bitwise instances that
-    serve both tiers.
     """
     if not name or name == "auto":
         raise ValueError("backend name must be a non-empty string other than 'auto'")
@@ -115,8 +93,7 @@ def register_backend(
         _PROBES[name] = probe
     else:
         _PROBES.pop(name, None)
-    for tier in EQUIVALENCE_CHOICES:
-        _INSTANCES.pop((name, tier), None)
+    _INSTANCES.pop(name, None)
 
 
 def backend_names() -> tuple[str, ...]:
@@ -127,7 +104,7 @@ def backend_names() -> tuple[str, ...]:
 def backend_available(name: str) -> bool:
     """Can ``name`` run here?  Uses the registered probe (no kernel
     compilation); unknown names are simply unavailable."""
-    if any((name, tier) in _INSTANCES for tier in EQUIVALENCE_CHOICES):
+    if name in _INSTANCES:
         return True
     if name not in _FACTORIES:
         return False
@@ -146,36 +123,23 @@ def available_backends() -> tuple[str, ...]:
     return tuple(n for n in backend_names() if backend_available(n))
 
 
-def _construct(factory: Callable[..., KernelBackend], equivalence: str):
-    """Build an instance, passing the tier iff the factory takes it."""
-    try:
-        params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        params = {}
-    if "equivalence" in params:
-        return factory(equivalence=equivalence)
-    return factory()
-
-
-def get_backend(name: str, equivalence: str = "bitwise") -> KernelBackend:
-    """Construct (once per tier) and return the backend ``name``.
+def get_backend(name: str) -> KernelBackend:
+    """Construct (once) and return the backend ``name``.
 
     Raises ``KeyError`` for unknown names and
     :class:`BackendUnavailableError` when the backend's dependency is
     missing.
     """
-    _check_equivalence(equivalence)
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
         ) from None
-    key = (name, equivalence)
-    inst = _INSTANCES.get(key)
+    inst = _INSTANCES.get(name)
     if inst is None:
-        inst = _construct(factory, equivalence)
-        _INSTANCES[key] = inst
+        inst = factory()
+        _INSTANCES[name] = inst
     return inst
 
 
@@ -193,31 +157,25 @@ def resolve_backend(
 ) -> KernelBackend:
     """Resolve a config/CLI selector to a concrete backend instance.
 
-    Accepts a backend instance (returned as-is after a tier check), a
-    registered name, or ``"auto"``.  ``"auto"`` prefers numba and
-    degrades to numpy with a once-per-process warning when numba is
-    unavailable.  ``equivalence`` selects the tier the instance must
-    serve: a bitwise instance serves either tier, but a statistical
-    instance offered to a bitwise resolution raises
-    :class:`~repro.kernels.base.EquivalenceError` — its results are not
-    bit-reproducible and must never flow into golden-trace paths.
+    Accepts a backend instance (returned as-is), a registered name, or
+    ``"auto"``.  ``"auto"`` prefers numba and degrades to numpy with a
+    once-per-process warning when numba is unavailable.
+    ``equivalence`` must be ``"bitwise"`` (:data:`EQUIVALENCE_CHOICES`),
+    the one numeric contract every backend honours.
     """
     global _warned_fallback
-    _check_equivalence(equivalence)
+    if equivalence not in EQUIVALENCE_CHOICES:
+        raise ValueError(
+            f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
+            f"got {equivalence!r}"
+        )
     if isinstance(selector, KernelBackend):
-        if equivalence == "bitwise" and selector.equivalence != "bitwise":
-            raise EquivalenceError(
-                f"backend instance {selector!r} operates under the "
-                f"{selector.equivalence!r} tier and cannot serve a "
-                "bitwise-equivalence run; construct it with "
-                "equivalence='bitwise' or run with --equivalence statistical"
-            )
         return selector
     if not isinstance(selector, str):
         raise TypeError(f"backend selector must be a string, got {type(selector)}")
     if selector == "auto":
         try:
-            return get_backend("numba", equivalence)
+            return get_backend("numba")
         except BackendUnavailableError as exc:
             if warn_fallback and not _warned_fallback:
                 _warned_fallback = True
@@ -227,8 +185,8 @@ def resolve_backend(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return get_backend("numpy", equivalence)
-    return get_backend(selector, equivalence)
+            return get_backend("numpy")
+    return get_backend(selector)
 
 
 def resolve_backend_name(selector: str | KernelBackend = "auto") -> str:
@@ -236,8 +194,7 @@ def resolve_backend_name(selector: str | KernelBackend = "auto") -> str:
     constructing (or compiling) anything.
 
     This is what sharding cell IDs and run manifests record: the
-    concrete backend identity, never ``"auto"``.  Names are orthogonal
-    to the equivalence tier (the tier is recorded separately).
+    concrete backend identity, never ``"auto"``.
     """
     if isinstance(selector, KernelBackend):
         return selector.name

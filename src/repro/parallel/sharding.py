@@ -17,10 +17,9 @@ the one run knob that shapes the result without living in the config.
 Its **stable cell ID** is a 16-hex digest of exactly those three
 things, the config entering through its fingerprint — which already
 pins λ, seed, the *resolved* kernel backend (never ``"auto"``), the
-equivalence tier, the routing substrate, any fault plan and every
-override.  IDs therefore survive re-enumeration, grid extension, and
-host boundaries — and change exactly when the scenario a cell would
-simulate changes.
+routing substrate, any fault plan and every override.  IDs therefore
+survive re-enumeration, grid extension, and host boundaries — and
+change exactly when the scenario a cell would simulate changes.
 
 Shard assignment ranks cells by their ID and deals them round-robin:
 ``shard(cell) = rank(cell_id) mod K``.  That keeps shards balanced
@@ -164,10 +163,10 @@ class SweepSpec:
     #: cell's config — fault sweeps shard, resume, and merge exactly
     #: like fault-free ones, and never mix with them.
     faults: str | None = None
-    #: Numeric equivalence tier every cell runs under
-    #: (:data:`repro.kernels.EQUIVALENCE_CHOICES`); bitwise and
-    #: statistical artifacts never merge (:func:`merge_artifacts`
-    #: raises ``EquivalenceError``).
+    #: Numeric contract every cell runs under; only ``"bitwise"``
+    #: (:data:`repro.config.EQUIVALENCE_CHOICES`, checked by the cell
+    #: config).  Kept so the spec payload, and with it the spec
+    #: fingerprint, keeps its shape.
     equivalence: str = "bitwise"
     #: Optional distance-block memory budget (MiB) for large-N cells.
     max_block_mb: float | None = None
@@ -197,13 +196,8 @@ class SweepSpec:
             raise ValueError("sweep spec needs >= 1 protocol, lambda, and seed")
         if not isinstance(self.backend, str) or not self.backend:
             raise ValueError("backend must be a non-empty selector string")
-        from ..config import EQUIVALENCE_CHOICES, ROUTING_CHOICES
+        from ..config import ROUTING_CHOICES
 
-        if self.equivalence not in EQUIVALENCE_CHOICES:
-            raise ValueError(
-                f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
-                f"got {self.equivalence!r}"
-            )
         if self.max_block_mb is not None and self.max_block_mb <= 0.0:
             raise ValueError("max_block_mb must be positive when given")
         if self.routing not in ROUTING_CHOICES:
@@ -234,6 +228,15 @@ class SweepSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepSpec":
+        """Inverse of :meth:`to_payload`.  A key this build has no
+        field for (a spec written by another version) is refused by
+        name rather than surfacing as a constructor ``TypeError``."""
+        unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"sweep spec has key(s) {unknown} this build does not "
+                "know; it was written by a different version"
+            )
         return cls(**payload)
 
     @property
@@ -337,10 +340,6 @@ class SweepCell:
     @property
     def backend(self) -> str:
         return self.config.backend
-
-    @property
-    def equivalence(self) -> str:
-        return self.config.equivalence
 
 
 @dataclass(frozen=True)
@@ -517,7 +516,7 @@ def _record_head(kind: str, cell: SweepCell, attempts: int) -> dict:
         "seed": cell.seed,
         "config_fingerprint": cell.config_fingerprint,
         "backend": cell.backend,
-        "equivalence": cell.equivalence,
+        "equivalence": cell.config.equivalence,
         "attempts": attempts,
     }
 
@@ -636,7 +635,10 @@ class ShardArtifact:
 
     @property
     def spec(self) -> SweepSpec:
-        return SweepSpec.from_payload(self.manifest["spec"])
+        try:
+            return SweepSpec.from_payload(self.manifest["spec"])
+        except ValueError as exc:
+            raise ValueError(f"{self.path or '<memory>'}: {exc}") from None
 
     @property
     def cell_rows(self) -> list[dict]:
@@ -721,22 +723,8 @@ def merge_artifacts(
     if not loaded:
         raise ValueError("no artifacts to merge")
     spec = loaded[0].spec
-    first_tier = loaded[0].manifest.get("spec", {}).get("equivalence", "bitwise")
     for art in loaded[1:]:
         if art.manifest["spec_fingerprint"] != loaded[0].manifest["spec_fingerprint"]:
-            tier = art.manifest.get("spec", {}).get("equivalence", "bitwise")
-            if tier != first_tier:
-                # Name the actual crime when the specs differ by tier:
-                # a generic fingerprint mismatch would hide that the
-                # caller is mixing numeric regimes.
-                from ..kernels.base import EquivalenceError
-
-                raise EquivalenceError(
-                    f"{art.path or '<memory>'}: cannot merge a {tier!r}-tier "
-                    f"artifact into a {first_tier!r}-tier sweep — the tiers "
-                    "follow different numeric contracts and their rows are "
-                    "not comparable; re-run the sweep under one tier"
-                )
             raise ValueError(
                 f"{art.path or '<memory>'}: spec fingerprint "
                 f"{art.manifest['spec_fingerprint']} does not match "

@@ -56,7 +56,7 @@ from ..config import SimulationConfig
 if TYPE_CHECKING:  # avoid a runtime cycle with baselines.base
     from ..baselines.base import ClusteringProtocol
 from ..faults import NULL_INJECTOR, PlanInjector
-from ..kernels import EquivalenceError, KernelBackend, resolve_backend
+from ..kernels import KernelBackend, resolve_backend
 from ..network.node import BaseStation, NodeArray
 from ..network.packet import PacketArena, PacketStats, PacketStatus
 from ..network.queueing import QueueBank, SourceBuffers
@@ -162,16 +162,8 @@ class SimulationEngine:
                 tel.registry = None
             tel.spans = tracer
         self.telemetry = tel
-        if config.equivalence != "bitwise" and trace is not None:
-            raise EquivalenceError(
-                "golden traces require bitwise equivalence; a "
-                f"{config.equivalence!r}-tier run is not bit-reproducible "
-                "and must not record or verify traces (drop --equivalence "
-                "statistical, or run without tracing)"
-            )
         self.kernels = resolve_backend(
-            backend if backend is not None else config.backend,
-            equivalence=config.equivalence,
+            backend if backend is not None else config.backend
         )
         # Kernel profiling is opt-in (scalar and batched paths issue
         # different kernel call *counts*, so auto-profiling would break

@@ -182,7 +182,7 @@ class NetworkState:
         if real.any():
             # Streamed over sender-row chunks when the config bounds the
             # block footprint (large-N runs); bit-identical to the
-            # one-shot call for every chunk size, so the bitwise tier is
+            # one-shot call for every chunk size, so results are
             # unaffected (see KernelBackend.distance_block_blocked).
             out[:, real] = self.kernels.distance_block_blocked(
                 self.nodes.positions[nodes],

@@ -172,7 +172,7 @@ class TestBackendByName:
         engine = _engine(_config(rounds=3))
         engine.run_round()
         restored = self._roundtrip(engine, tmp_path)
-        singleton = get_backend(engine.kernels.name, engine.kernels.equivalence)
+        singleton = get_backend(engine.kernels.name)
         assert restored.kernels is singleton
         assert restored.state.kernels is singleton
 
@@ -185,9 +185,7 @@ class TestBackendByName:
         restored = self._roundtrip(engine, tmp_path)
         wrapper = restored.kernels
         assert type(wrapper) is ProfiledBackend
-        assert wrapper.inner is get_backend(
-            engine.kernels.name, engine.kernels.equivalence
-        )
+        assert wrapper.inner is get_backend(engine.kernels.name)
         assert wrapper.registry is restored.telemetry.registry
 
         def kernel_counts(eng):
@@ -328,14 +326,18 @@ class TestRefusalTaxonomy:
 
     def test_schema_2_snapshot_refused(self, tmp_path):
         # Schema 2 pickled a separate engine tracer and a Telemetry
-        # without a span sink; resuming one would fail mid-run.
+        # without a span sink; resuming one would fail mid-run.  Schema
+        # 3 pickled backends as ``(name, equivalence)``, which
+        # ``get_backend`` no longer takes; loading one would fail inside
+        # ``pickle.loads``.
         engine = _engine(_config(rounds=3), telemetry=True, tracer=SpanTracer())
         engine.run_round()
         path = tmp_path / f"t-r00000001{CHECKPOINT_SUFFIX}"
         write_checkpoint(engine, path)
-        self._rewrite_header(path, schema=2)
-        with pytest.raises(CheckpointVersionError, match="schema 2"):
-            read_checkpoint(path)
+        for schema in (2, 3):
+            self._rewrite_header(path, schema=schema)
+            with pytest.raises(CheckpointVersionError, match=f"schema {schema}"):
+                read_checkpoint(path)
 
     def test_unknown_schema_refused(self, snapshot):
         self._rewrite_header(snapshot, schema=999)

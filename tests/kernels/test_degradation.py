@@ -28,8 +28,7 @@ def _force_numba(monkeypatch, registry, version):
     """Pretend numba_version() returns ``version`` everywhere."""
     monkeypatch.setattr(numba_backend_mod, "numba_version", lambda: version)
     monkeypatch.setattr(registry_mod, "numba_version", lambda: version)
-    for tier in ("bitwise", "statistical"):
-        registry._INSTANCES.pop(("numba", tier), None)
+    registry._INSTANCES.pop("numba", None)
 
 
 @pytest.fixture

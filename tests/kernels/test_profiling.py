@@ -33,7 +33,6 @@ class TestDelegation:
 
     def test_identity_proxied(self, bare, profiled):
         assert profiled.name == bare.name
-        assert profiled.equivalence == bare.equivalence
 
     def test_distance_block(self, bare, profiled):
         src, dst = RNG.random((5, 3)), RNG.random((7, 3))

@@ -5,8 +5,6 @@ import pytest
 
 from repro.kernels import (
     BACKEND_CHOICES,
-    EQUIVALENCE_CHOICES,
-    EquivalenceError,
     KernelBackend,
     NumpyBackend,
     available_backends,
@@ -109,56 +107,9 @@ class TestResolution:
         with pytest.raises(KeyError):
             resolve_backend_name("tpu")
 
-
-class TestEquivalenceTiers:
-    def test_choices(self):
-        assert EQUIVALENCE_CHOICES == ("bitwise", "statistical")
-
-    def test_singletons_are_per_tier(self):
-        bit = get_backend("numpy", "bitwise")
-        stat = get_backend("numpy", "statistical")
-        assert bit is not stat
-        assert bit is get_backend("numpy")  # bitwise is the default
-        assert stat is get_backend("numpy", "statistical")
-        assert bit.equivalence == "bitwise"
-        assert stat.equivalence == "statistical"
-
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="equivalence"):
-            get_backend("numpy", "sloppy")
-        with pytest.raises(ValueError, match="equivalence"):
-            resolve_backend("numpy", equivalence="sloppy")
-
-    def test_resolution_carries_the_tier(self):
-        assert resolve_backend(
-            "numpy", equivalence="statistical"
-        ).equivalence == "statistical"
-
-    def test_bitwise_instance_serves_either_tier(self):
-        bit = NumpyBackend()
-        assert resolve_backend(bit, equivalence="statistical") is bit
-
-    def test_statistical_instance_rejected_by_bitwise_resolution(self):
-        stat = NumpyBackend(equivalence="statistical")
-        with pytest.raises(EquivalenceError, match="bitwise"):
-            resolve_backend(stat)
-        assert resolve_backend(stat, equivalence="statistical") is stat
-
-    def test_tier_unaware_factory_serves_both_tiers(self, clean_registry):
-        """A zero-argument third-party factory yields bitwise instances;
-        both tiers resolve to them (bitwise trivially satisfies the
-        statistical contract)."""
-        built = []
-
-        def factory():
-            built.append(1)
-            return NumpyBackend()
-
-        register_backend("legacy", factory, probe=lambda: True)
-        inst = get_backend("legacy", "statistical")
-        assert inst.equivalence == "bitwise"
-        assert get_backend("legacy", "bitwise").equivalence == "bitwise"
-        assert len(built) == 2  # cached per (name, tier)
+            resolve_backend("numpy", equivalence="statistical")
 
 
 class TestVersions:

@@ -89,6 +89,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             SweepSpec(protocols=(), lambdas=(4.0,), seeds=(0,))
 
+    def test_spec_rejects_unknown_tier(self):
+        with pytest.raises(ValueError, match="equivalence"):
+            SweepSpec(
+                protocols=("direct",), lambdas=(8.0,), seeds=(0,),
+                equivalence="statistical",
+            )
+
     def test_len_is_grid_size(self):
         assert len(SPEC) == 1 * 2 * 3
 
@@ -488,6 +495,18 @@ class TestMergeValidation:
         res = run_shard(other, 1, 1, tmp_path / "other.jsonl", serial=True)
         with pytest.raises(ValueError, match="fingerprint"):
             merge_artifacts([singleton_artifacts[0], res.path])
+
+    def test_unknown_spec_key_rejected_by_name(self, singleton_artifacts):
+        # An artifact written by a build whose spec has an option this
+        # one lacks.
+        art = singleton_artifacts[0]
+        manifest = dict(art.manifest)
+        manifest["spec"] = {**manifest["spec"], "tier": "statistical"}
+        foreign = ShardArtifact(manifest=manifest, records=art.records, path=None)
+        with pytest.raises(ValueError, match=r"\['tier'\]"):
+            merge_artifacts([foreign])
+        with pytest.raises(ValueError, match="does not know"):
+            SweepSpec.from_payload(manifest["spec"])
 
     def test_conflicting_rows_rejected(self, singleton_artifacts):
         art = singleton_artifacts[0]

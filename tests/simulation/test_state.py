@@ -86,3 +86,23 @@ class TestBookkeeping:
         state = NetworkState(make_config())
         state.ledger.discharge(0, 10.0, "tx")
         assert 0 not in state.alive_indices()
+
+
+class TestMemoryReport:
+    def test_report_shape_and_budget(self):
+        state = NetworkState(make_config(n_nodes=50, max_block_mb=2.0))
+        report = state.memory_report()
+        assert set(report) == {"arrays", "resident_mb", "transient_block_mb"}
+        assert report["transient_block_mb"] == 2.0
+        assert report["resident_mb"] == pytest.approx(
+            sum(a["mbytes"] for a in report["arrays"].values())
+        )
+        positions = report["arrays"]["positions"]
+        assert positions["dtype"] == "float64"
+        assert positions["shape"] == (50, 3)
+
+    def test_unbudgeted_transient_is_the_full_block(self):
+        state = NetworkState(make_config(n_nodes=50, n_clusters=4))
+        report = state.memory_report()
+        expected = 8 * 50 * 4 * 4 / 2**20  # n x k float64 diff + out
+        assert report["transient_block_mb"] == pytest.approx(expected)

@@ -32,6 +32,11 @@ class TestConfigFingerprint:
         assert len(fp) == 16
         int(fp, 16)  # hex digits only
 
+    def test_block_budget_is_fingerprinted(self):
+        assert config_fingerprint(make_config()) != config_fingerprint(
+            make_config(max_block_mb=64.0)
+        )
+
 
 class TestRunManifest:
     def test_required_fields(self):
@@ -44,6 +49,7 @@ class TestRunManifest:
         assert m["seed"] == 3
         assert m["n_nodes"] == 30
         assert m["rounds"] == 5
+        assert m["equivalence"] == "bitwise"
 
     def test_json_serialisable(self):
         m = run_manifest(make_config(), "qlec")

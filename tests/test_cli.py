@@ -45,6 +45,15 @@ class TestParser:
             ["scenario", "table2", "--checkpoint-every", "0"],
             ["scenario", "table2", "--keep-last", "0"],
             ["resume", "x.ckpt", "--checkpoint-every", "0"],
+            ["quickstart", "--max-block-mb", "0"],
+            ["quickstart", "--max-block-mb", "-1"],
+            ["scenario", "table2", "--max-block-mb", "0"],
+            ["scenario", "table2", "--max-block-mb", "-1"],
+            ["sweep", "--rounds", "0"],
+            ["sweep", "--lambdas", "-4"],
+            ["sweep", "--energy", "-1"],
+            ["fig4", "--nodes", "0"],
+            ["lifespan", "--rounds", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -62,6 +71,14 @@ class TestParser:
     def test_backend_rejects_unknown_choice(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["quickstart", "--backend", "tpu"])
+
+    def test_equivalence_accepts_only_bitwise(self, capsys):
+        args = build_parser().parse_args(["sweep", "--equivalence", "bitwise"])
+        assert args.equivalence == "bitwise"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--equivalence", "statistical"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:

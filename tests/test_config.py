@@ -135,6 +135,11 @@ class TestSimulationConfig:
     def test_backend_rejects_non_string(self):
         with pytest.raises(ValueError):
             SimulationConfig(backend="")
+
+    def test_equivalence_is_bitwise_only(self):
+        assert SimulationConfig().equivalence == "bitwise"
+        with pytest.raises(ValueError, match="equivalence"):
+            SimulationConfig(equivalence="statistical")
         with pytest.raises(ValueError):
             SimulationConfig(backend=None)  # type: ignore[arg-type]
 
