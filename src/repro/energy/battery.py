@@ -209,6 +209,38 @@ class EnergyLedger:
             self._alive[newly_dead] = False
             self._record_deaths("battery", newly_dead.size)
 
+    def discharge_repeat(
+        self, idx: int, amount: float, m: int, category: str = "tx"
+    ) -> None:
+        """``m`` back-to-back :meth:`discharge` calls of ``amount`` on
+        the one node ``idx`` (a multi-hop uplink hop prices its frames
+        this way).
+
+        A plain float loop, bit-identical to the scalar calls: each
+        charge floors at zero and adds to ``spent_<category>`` in order,
+        and the node freezes at its first death-line crossing.
+        """
+        amount = float(amount)
+        if amount < 0.0:
+            raise ValueError("discharge amount must be non-negative")
+        if category not in ("tx", "rx", "da"):
+            raise ValueError(f"unknown energy category {category!r}")
+        if m <= 0 or not self._alive[idx]:
+            return
+        attr = f"spent_{category}"
+        spent = getattr(self, attr)
+        residual = float(self._residual[idx])
+        for _ in range(m):
+            after = max(residual - amount, 0.0)
+            spent += residual - after
+            residual = after
+            if residual <= self._death_line:
+                self._alive[idx] = False
+                self._record_deaths("battery", 1)
+                break
+        self._residual[idx] = residual
+        setattr(self, attr, spent)
+
     def discharge_many(self, idx, amounts, category: str = "tx") -> None:
         """Batched :meth:`discharge` that tolerates duplicate indices.
 

@@ -166,15 +166,22 @@ class LinkEstimator:
         return v
 
     def update(self, node: int, target: int, success: bool) -> None:
-        obs = 1.0 if success else 0.0
-        if self.shared:
-            self._shared_row[target] += self.alpha * (
-                obs - self._shared_row[target]
-            )
-        else:
-            self._est[node, target] += self.alpha * (
-                obs - self._est[node, target]
-            )
+        self.update_link(node, target, (success,))
+
+    def update_link(self, node: int, target: int, outcomes) -> None:
+        """Sequential EWMA steps over one link's ACK outcomes, in order.
+
+        ``est += a * (obs - est)`` once per outcome, as a float loop over
+        the one cell; :meth:`update` is its one-outcome case.  This is
+        the sequential twin of :meth:`update_batch`'s closed-form fold,
+        which can differ from it by ulps on repeated pairs.
+        """
+        row = self._shared_row if self.shared else self._est[node]
+        a = self.alpha
+        est = float(row[target])
+        for ok in outcomes:
+            est += a * ((1.0 if ok else 0.0) - est)
+        row[target] = est
 
     def update_batch(
         self, nodes: np.ndarray, targets: np.ndarray, successes: np.ndarray
@@ -283,26 +290,29 @@ class Channel:
 
         ``sender``/``target`` only matter under per-node degradation
         (``node_factor``); omitting them means neither endpoint's radio
-        is faulted.
+        is faulted.  The one-frame case of :meth:`attempt_link`.
+        """
+        return bool(self.attempt_link(distance, 1, sender, target)[0])
+
+    def attempt_link(
+        self, distance: float, m: int, sender: int | None = None,
+        target: int | None = None,
+    ) -> np.ndarray:
+        """``m`` transmissions over one link; a bool ACK per frame.
+
+        The delivery probability (with the same degrade and per-node
+        factor products) is computed once and compared against
+        ``rng.random(m)`` — the same doubles as ``m`` scalar
+        :meth:`attempt` calls.  Blackout fails every frame and draws
+        nothing.
         """
         if self.blackout:
-            ok = False
+            out = np.zeros(m, dtype=bool)
         else:
-            p = self.success_probability(distance)
-            if self.degrade != 1.0:
-                p = p * self.degrade
-            nf = self.node_factor
-            if nf is not None:
-                if sender is not None:
-                    p = p * nf[sender]
-                if target is not None:
-                    p = p * nf[target]
-            ok = bool(self.rng.random() < p)
-        if self._tel_attempts is not None:
-            self._tel_attempts.add(1)
-            if ok:
-                self._tel_acks.add(1)
-        return ok
+            p = self._probability(distance, sender, target)
+            out = self.rng.random(m) < p
+        self._count(out)
+        return out
 
     def attempt_batch(
         self, distances: np.ndarray, senders: np.ndarray | None = None,
@@ -323,20 +333,32 @@ class Channel:
         if self.blackout:
             out = np.zeros(distances.shape, dtype=bool)
         else:
-            p = self.success_probability(distances)
-            if self.degrade != 1.0:
-                p = p * self.degrade
-            nf = self.node_factor
-            if nf is not None:
-                if senders is not None:
-                    p = p * nf[senders]
-                if targets is not None:
-                    p = p * nf[targets]
-            out = self.kernels.bernoulli(p, self.rng.random(distances.shape))
-        if self._tel_attempts is not None:
-            self._tel_attempts.add(out.size)
-            self._tel_acks.add(int(out.sum()))
+            out = self.kernels.bernoulli(
+                self._probability(distances, senders, targets),
+                self.rng.random(distances.shape),
+            )
+        self._count(out)
         return out
+
+    def _probability(self, distance, senders=None, targets=None):
+        """Delivery probability under the current fault state: the
+        ground-truth curve times the global ``degrade`` and then each
+        given endpoint's ``node_factor`` (scalars or arrays alike)."""
+        p = self.success_probability(distance)
+        if self.degrade != 1.0:
+            p = p * self.degrade
+        nf = self.node_factor
+        if nf is not None:
+            if senders is not None:
+                p = p * nf[senders]
+            if targets is not None:
+                p = p * nf[targets]
+        return p
+
+    def _count(self, acks: np.ndarray) -> None:
+        if self._tel_attempts is not None:
+            self._tel_attempts.add(acks.size)
+            self._tel_acks.add(int(acks.sum()))
 
     #: Backward-compatible alias for :meth:`attempt_batch`.
     attempt_many = attempt_batch

@@ -515,7 +515,9 @@ class SimulationEngine:
         end_slot: int,
         stats: PacketStats,
     ) -> None:
-        """End-of-round fusion uplink, frame by frame along the path.
+        """End-of-round fusion uplink along each head's chain to the BS,
+        in head order, then hop order, one batch per (head, hop) (see
+        :meth:`_uplink_hop`).
 
         Multi-hop paths (the FCM hierarchy) spend the *intermediate*
         head's leftover service capacity: a head that already served
@@ -527,15 +529,12 @@ class SimulationEngine:
         st = self.state
         cfg = self.config
         arena = self.arena
-        bits = cfg.traffic.packet_bits
         ratio = cfg.compression_ratio
         # Unserviced backlog expires with the round (membership
         # rotates; stale samples are not carried over).
         _, leftover = bank.drain_all()
         if leftover.size:
-            stats.expired += leftover.size
-            arena.mark(leftover, PacketStatus.EXPIRED)
-            arena.free(leftover)
+            self._drop([(leftover, PacketStatus.EXPIRED)], stats)
         if fused:
             all_pos = np.concatenate([b[0] for b in fused])
             all_rows = np.concatenate([b[1] for b in fused])
@@ -561,10 +560,13 @@ class SimulationEngine:
         # the substrate-less all-direct case.
         router = self.router
         paths: dict[int, list[int]] = {}
-        direct_only = (
+        # Per-frame protocol feedback runs only when the protocol
+        # overrides the hook (decided once per round, not per frame).
+        hooked = (
             type(self.protocol).on_transmission
-            is ClusteringProtocol.on_transmission
-        ) and not router.active
+            is not ClusteringProtocol.on_transmission
+        )
+        direct_only = not hooked and not router.active
         if direct_only:
             for j, h in enumerate(bank.heads):
                 if n_fused[j] == 0 or not st.ledger.is_alive(int(h)):
@@ -593,9 +595,7 @@ class SimulationEngine:
             rows = all_rows[seg]
             slots = all_slots[seg]
             if not st.ledger.is_alive(h):
-                stats.dropped_dead += count
-                arena.mark(rows, PacketStatus.DROPPED_DEAD)
-                arena.free(rows)
+                self._drop([(rows, PacketStatus.DROPPED_DEAD)], stats)
                 continue
             if cfg.aggregation == "perfect":
                 n_frames = 1
@@ -613,73 +613,30 @@ class SimulationEngine:
                 else:
                     path = self.protocol.uplink_path(st, h, heads)
             chain = [h, *[int(p) for p in path], st.bs_index]
-            surviving = frames
-            for hop_idx in range(len(chain) - 1):
-                src, dst = chain[hop_idx], chain[hop_idx + 1]
-                if not surviving:
+            for src, dst in zip(chain, chain[1:]):
+                if not frames:
                     break
-                if not st.ledger.is_alive(src):
-                    for frame_rows, _ in surviving:
-                        stats.dropped_dead += frame_rows.size
-                        arena.mark(frame_rows, PacketStatus.DROPPED_DEAD)
-                        arena.free(frame_rows)
-                    surviving = []
-                    break
-                d = st.distance(src, dst)
-                dst_alive = dst == st.bs_index or st.ledger.is_alive(dst)
-                next_frames: list[tuple[np.ndarray, np.ndarray]] = []
-                for frame_rows, frame_slots in surviving:
-                    st.ledger.discharge(src, st.radio.tx(bits, d), "tx")
-                    ok = dst_alive and st.channel.attempt(d, src, dst)
-                    if ok and dst != st.bs_index:
-                        # Transit relay: needs leftover service capacity
-                        # at the intermediate head (missing ACK = the
-                        # relay's cache is exhausted).
-                        if relay_budget.get(dst, 0) > 0:
-                            relay_budget[dst] -= 1
-                        else:
-                            ok = False
-                            stats.dropped_queue += frame_rows.size
-                            arena.mark(frame_rows, PacketStatus.DROPPED_QUEUE)
-                            arena.free(frame_rows)
-                            st.link_estimator.update(src, dst, ok)
-                            self.protocol.on_transmission(st, src, dst, ok)
-                            if router.active:
-                                router.on_hop(st, src, dst, ok)
-                            continue
-                    st.link_estimator.update(src, dst, ok)
-                    self.protocol.on_transmission(st, src, dst, ok)
-                    if router.active:
-                        router.on_hop(st, src, dst, ok)
-                    if not ok:
-                        if dst_alive:
-                            stats.dropped_channel += frame_rows.size
-                            arena.mark(frame_rows, PacketStatus.DROPPED_CHANNEL)
-                        else:
-                            stats.dropped_dead += frame_rows.size
-                            arena.mark(frame_rows, PacketStatus.DROPPED_DEAD)
-                        arena.free(frame_rows)
-                        continue
-                    if dst != st.bs_index:
-                        st.ledger.discharge(dst, st.radio.rx(bits), "rx")
-                    next_frames.append((frame_rows, frame_slots))
-                surviving = next_frames
+                frames = self._uplink_hop(
+                    src, dst, frames, relay_budget, hooked, stats
+                )
             # Whatever survived the whole chain reached the BS.
             hop_count = len(chain) - 1
-            for frame_rows, frame_slots in surviving:
-                arena.status[frame_rows] = PacketStatus.DELIVERED.code
-                arena.delivered_slot[frame_rows] = frame_slots + hop_count
-                stats.record_deliveries(
-                    arena.latencies(frame_rows),
-                    arena.hops[frame_rows] + hop_count,
+            if frames:
+                won = np.concatenate([r for r, _ in frames])
+                arena.status[won] = PacketStatus.DELIVERED.code
+                arena.delivered_slot[won] = (
+                    np.concatenate([s for _, s in frames]) + hop_count
                 )
-                arena.free(frame_rows)
+                stats.record_deliveries(
+                    arena.latencies(won), arena.hops[won] + hop_count
+                )
+                arena.free(won)
             if router.active:
                 # Per-packet path observability: one record per walked
                 # head on the trace, one histogram sample per delivered
                 # frame in telemetry.  Pure reads — no RNG, and inert
                 # routers never reach this branch.
-                n_delivered = len(surviving)
+                n_delivered = len(frames)
                 if self.trace is not None:
                     self.trace.record_path(
                         st.round_index,
@@ -695,6 +652,90 @@ class SimulationEngine:
                     ).observe_many(
                         np.full(n_delivered, hop_count, dtype=np.float64)
                     )
+
+    def _uplink_hop(
+        self,
+        src: int,
+        dst: int,
+        frames: list[tuple[np.ndarray, np.ndarray]],
+        relay_budget: dict[int, int],
+        hooked: bool,
+        stats: PacketStats,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One hop of the chain walk for all of a head's surviving
+        frames; returns the frames that reached ``dst``, in order.
+
+        The frames share src, dst, distance and dst's liveness, so the
+        sender's tx charges, the channel draws, the estimator's EWMA
+        steps and the relay's rx charges are one call each on one link.
+        Each of these touches its own node, stream or accumulator in
+        frame order (a chain never repeats a node: every path builder
+        tracks the nodes it visited), so the batch is bit-identical to
+        walking the frames one at a time.  Feedback hooks fire once per
+        frame, after the hop's state is applied.
+        """
+        st = self.state
+        m = len(frames)
+        if not st.ledger.is_alive(src):
+            self._drop(
+                [(rows, PacketStatus.DROPPED_DEAD) for rows, _ in frames], stats
+            )
+            return []
+        bits = self.config.traffic.packet_bits
+        d = st.distance(src, dst)
+        relay = dst != st.bs_index
+        dst_alive = not relay or st.ledger.is_alive(dst)
+        st.ledger.discharge_repeat(src, st.radio.tx(bits, d), m, "tx")
+        # A dead receiver never ACKs; the channel is not even drawn.
+        if dst_alive:
+            ok = st.channel.attempt_link(d, m, src, dst)
+            lost_as = PacketStatus.DROPPED_CHANNEL
+        else:
+            ok = np.zeros(m, dtype=bool)
+            lost_as = PacketStatus.DROPPED_DEAD
+        full = [False] * m
+        if relay and ok.any():
+            # Transit relay: an ACK needs leftover service capacity at
+            # the intermediate head (a missing ACK = the relay's cache
+            # is exhausted), so only the first `budget` ACKs pass.
+            budget = relay_budget.get(dst, 0)
+            over = ok & (np.cumsum(ok) > budget)
+            ok &= ~over
+            relay_budget[dst] = budget - int(ok.sum())
+            full = over.tolist()
+        acks = ok.tolist()
+        st.link_estimator.update_link(src, dst, acks)
+        router = self.router
+        if hooked or router.active:
+            for acked in acks:
+                if hooked:
+                    self.protocol.on_transmission(st, src, dst, acked)
+                if router.active:
+                    router.on_hop(st, src, dst, acked)
+        lost = [
+            (rows, PacketStatus.DROPPED_QUEUE if q else lost_as)
+            for (rows, _), acked, q in zip(frames, acks, full)
+            if not acked
+        ]
+        if lost:
+            self._drop(lost, stats)
+        kept = [f for f, acked in zip(frames, acks) if acked]
+        if relay and kept:
+            st.ledger.discharge_repeat(dst, st.radio.rx(bits), len(kept), "rx")
+        return kept
+
+    def _drop(
+        self, lost: list[tuple[np.ndarray, PacketStatus]], stats: PacketStats
+    ) -> None:
+        """Count and mark each lost batch of rows (a frame, a dead
+        head's backlog) under its fate, then free them all in order with
+        one ``free`` (the arena's LIFO free stack then matches freeing
+        them one by one)."""
+        for rows, fate in lost:
+            # A terminal status's value names its PacketStats counter.
+            setattr(stats, fate.value, getattr(stats, fate.value) + rows.size)
+            self.arena.mark(rows, fate)
+        self.arena.free(np.concatenate([rows for rows, _ in lost]))
 
     def _uplink_direct(
         self,

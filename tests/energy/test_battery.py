@@ -144,3 +144,97 @@ class TestInvariants:
         assert led.total_consumed == pytest.approx(
             led.total_initial - led.total_residual
         )
+
+
+def _ledger_state(led):
+    return (
+        led.residual.tobytes(),
+        led.alive.tobytes(),
+        led.spent_tx.hex(),
+        led.spent_rx.hex(),
+        led.spent_da.hex(),
+        led.deaths_by_cause(),
+        led.total_deaths,
+    )
+
+
+class TestDischargeRepeat:
+    """``discharge_repeat`` is m scalar ``discharge`` calls, bit for bit."""
+
+    @staticmethod
+    def _twins(initial, death_line, pre):
+        """Two ledgers in the same state after the same warm-up charges."""
+        out = []
+        for _ in range(2):
+            led = EnergyLedger(np.asarray(initial), death_line=death_line)
+            for idx, amount, cat in pre:
+                led.discharge(idx, amount, cat)
+            out.append(led)
+        return out
+
+    def _check(self, initial, death_line, pre, idx, amount, m, category):
+        scalar, batch = self._twins(initial, death_line, pre)
+        for _ in range(m):
+            scalar.discharge(idx, amount, category)
+        batch.discharge_repeat(idx, amount, m, category)
+        assert _ledger_state(batch) == _ledger_state(scalar)
+
+    @given(
+        initial=st.lists(
+            st.floats(min_value=0.3, max_value=2.0), min_size=1, max_size=4
+        ),
+        death_line=st.sampled_from([0.0, 0.05, 0.2]),
+        pre=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.floats(min_value=0.0, max_value=0.5),
+                st.sampled_from(["tx", "rx", "da"]),
+            ),
+            max_size=6,
+        ),
+        idx=st.integers(min_value=0, max_value=3),
+        amount=st.floats(min_value=0.0, max_value=0.7),
+        m=st.integers(min_value=0, max_value=12),
+        category=st.sampled_from(["tx", "rx", "da"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_calls(
+        self, initial, death_line, pre, idx, amount, m, category
+    ):
+        n = len(initial)
+        pre = [(i % n, a, c) for i, a, c in pre]
+        self._check(initial, death_line, pre, idx % n, amount, m, category)
+
+    @pytest.mark.parametrize("category", ["tx", "rx", "da"])
+    def test_death_line_crossed_mid_burst(self, category):
+        # 1.0 - 3 * 0.25 = 0.25 <= 0.3: the third charge kills the node
+        # and the last two are skipped.
+        scalar, batch = self._twins([1.0, 1.0], 0.3, [])
+        for _ in range(5):
+            scalar.discharge(0, 0.25, category)
+        batch.discharge_repeat(0, 0.25, 5, category)
+        assert _ledger_state(batch) == _ledger_state(scalar)
+        assert not batch.is_alive(0)
+        assert batch.deaths_by_cause() == {"battery": 1}
+
+    def test_clamps_at_zero(self):
+        self._check([0.5, 1.0], 0.0, [], 0, 0.3, 4, "tx")
+
+    def test_already_dead_node_is_frozen(self):
+        scalar, batch = self._twins([1.0, 1.0], 0.0, [])
+        for led in (scalar, batch):
+            led.force_kill(1)
+        for _ in range(3):
+            scalar.discharge(1, 0.1, "rx")
+        batch.discharge_repeat(1, 0.1, 3, "rx")
+        assert _ledger_state(batch) == _ledger_state(scalar)
+        assert batch.residual[1] == 1.0
+        assert batch.spent_rx == 0.0
+
+    def test_negative_amount_rejected(self):
+        with pytest.raises(ValueError):
+            make_ledger().discharge_repeat(0, -0.1, 3, "tx")
+
+    def test_unknown_category_rejected(self):
+        with pytest.raises(ValueError):
+            make_ledger().discharge_repeat(0, 0.1, 3, "bogus")
