@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network.topology import pairwise_distances
+from ..network.topology import _pairwise_distances, _sq_norms
 from ..routing.hierarchy import distance_levels, hierarchy_descent
 from ..simulation.state import NetworkState
 from .base import ClusteringProtocol, NearestHeadRelayMixin
@@ -69,8 +69,8 @@ def fuzzy_c_means(
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if points.ndim != 2 or n == 0:
-        raise ValueError("points must be a non-empty (n, d) array")
+    if points.ndim != 2 or n == 0 or points.shape[1] != 3:
+        raise ValueError("points must be a non-empty (n, 3) array")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n_points")
     if m <= 1.0:
@@ -82,12 +82,13 @@ def fuzzy_c_means(
     u /= u.sum(axis=1, keepdims=True)
 
     exponent = 2.0 / (m - 1.0)
-    objective = np.inf
+    pp = _sq_norms(points)
     centroids = np.zeros((k, points.shape[1]))
+    it, converged = 0, False
     for it in range(1, max_iter + 1):
         um = u ** m
         centroids = (um.T @ points) / um.sum(axis=0)[:, None]
-        d = pairwise_distances(points, centroids)
+        d = _pairwise_distances(points, pp, centroids)
         d = np.maximum(d, 1e-12)
         # u_ij = d_ij^(-2/(m-1)) / sum_l d_il^(-2/(m-1)) — the O(nk)
         # form of the classical "1 / sum (d_ij/d_il)^e" update (the
@@ -95,13 +96,16 @@ def fuzzy_c_means(
         # 2896-node / k=272 dataset scale).
         u_new = d ** (-exponent)
         u_new /= u_new.sum(axis=1, keepdims=True)
-        new_objective = float(((u_new ** m) * d ** 2).sum())
         shift = float(np.abs(u_new - u).max())
         u = u_new
         if shift < tol:
-            return FCMResult(centroids, u, new_objective, it, True)
-        objective = new_objective
-    return FCMResult(centroids, u, objective, max_iter, False)
+            converged = True
+            break
+    if it == 0:  # max_iter < 1: no update ran
+        return FCMResult(centroids, u, np.inf, max_iter, False)
+    # The objective of the returned memberships, evaluated once.
+    objective = float(((u ** m) * d ** 2).sum())
+    return FCMResult(centroids, u, objective, it, converged)
 
 
 class FCMProtocol(NearestHeadRelayMixin, ClusteringProtocol):

@@ -21,6 +21,27 @@ from ..kernels import KernelBackend, default_backend
 
 __all__ = ["EnergyLedger"]
 
+#: The ledger attribute that accumulates each consumption category.
+_SPENT = {"tx": "spent_tx", "rx": "spent_rx", "da": "spent_da"}
+
+
+def _spent_attr(category: str) -> str:
+    try:
+        return _SPENT[category]
+    except KeyError:
+        raise ValueError(f"unknown energy category {category!r}") from None
+
+
+def _as_index(idx) -> np.ndarray:
+    """``idx`` as an index array: a scalar becomes one element and a
+    boolean mask its true positions."""
+    idx = np.asarray(idx)
+    if idx.ndim == 0:
+        idx = idx.reshape(1)
+    if idx.dtype == bool:
+        idx = np.flatnonzero(idx)
+    return idx
+
 
 class EnergyLedger:
     """Tracks residual energy, consumption, and liveness for N nodes.
@@ -171,14 +192,8 @@ class EnergyLedger:
             )
 
     def _charge_category(self, category: str, amount: float) -> None:
-        if category == "tx":
-            self.spent_tx += amount
-        elif category == "rx":
-            self.spent_rx += amount
-        elif category == "da":
-            self.spent_da += amount
-        else:
-            raise ValueError(f"unknown energy category {category!r}")
+        attr = _spent_attr(category)
+        setattr(self, attr, getattr(self, attr) + amount)
 
     def discharge(self, idx, amount, category: str = "tx") -> None:
         """Subtract ``amount`` joules from nodes ``idx``.
@@ -189,11 +204,9 @@ class EnergyLedger:
         Residuals are floored at zero — a node can never bank negative
         energy.
         """
-        idx = np.atleast_1d(np.asarray(idx))
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        idx = _as_index(idx)
         amount = np.broadcast_to(np.asarray(amount, dtype=np.float64), idx.shape)
-        if np.any(amount < 0.0):
+        if (amount < 0.0).any():
             raise ValueError("discharge amount must be non-negative")
         live = self._alive[idx]
         idx = idx[live]
@@ -223,11 +236,9 @@ class EnergyLedger:
         amount = float(amount)
         if amount < 0.0:
             raise ValueError("discharge amount must be non-negative")
-        if category not in ("tx", "rx", "da"):
-            raise ValueError(f"unknown energy category {category!r}")
+        attr = _spent_attr(category)
         if m <= 0 or not self._alive[idx]:
             return
-        attr = f"spent_{category}"
         spent = getattr(self, attr)
         residual = float(self._residual[idx])
         for _ in range(m):
@@ -255,16 +266,17 @@ class EnergyLedger:
         (``self.kernels``); the per-category total is summed here with
         numpy so the pairwise reduction matches the reference exactly.
         """
-        idx = np.atleast_1d(np.asarray(idx))
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        amounts = np.broadcast_to(
-            np.asarray(amounts, dtype=np.float64), idx.shape
-        )
-        if np.any(amounts < 0.0):
+        idx = _as_index(idx)
+        amounts = np.asarray(amounts, dtype=np.float64)
+        if (amounts < 0.0).any():
             raise ValueError("discharge amount must be non-negative")
-        if category not in ("tx", "rx", "da"):
-            raise ValueError(f"unknown energy category {category!r}")
+        _spent_attr(category)  # an unknown category raises before any charge
+        if amounts.shape != idx.shape:
+            amounts = (
+                np.broadcast_to(amounts, idx.shape)
+                if amounts.ndim
+                else np.full(idx.shape, amounts)
+            )
         if idx.size == 0:
             return
         # The kernel flips liveness in place without reporting deaths;
@@ -323,9 +335,7 @@ class EnergyLedger:
         is unaffected.  Already-dead nodes are skipped.  Returns how
         many nodes actually died, recorded under ``cause``.
         """
-        idx = np.atleast_1d(np.asarray(idx))
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        idx = _as_index(idx)
         if idx.size == 0:
             return 0
         victims = idx[self._alive[idx]]
@@ -341,9 +351,7 @@ class EnergyLedger:
         line revive — a battery-dead node stays dead, matching the
         paper's death-line semantics.  Returns how many revived.
         """
-        idx = np.atleast_1d(np.asarray(idx))
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        idx = _as_index(idx)
         if idx.size == 0:
             return 0
         back = idx[
@@ -365,9 +373,7 @@ class EnergyLedger:
         many nodes the drain pushed across the death line (recorded
         under ``cause``).
         """
-        idx = np.atleast_1d(np.asarray(idx))
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        idx = _as_index(idx)
         amounts = np.broadcast_to(
             np.asarray(amounts, dtype=np.float64), idx.shape
         )

@@ -41,7 +41,7 @@ def amplifier_energy(
     Accepts a scalar or an array of distances.
     """
     d = np.asarray(distance, dtype=np.float64)
-    if np.any(d < 0.0):
+    if (d < 0.0).any():
         raise ValueError("distance must be non-negative")
     fs = radio.eps_fs * d * d
     mp = radio.eps_mp * d ** 4

@@ -12,7 +12,7 @@ compilation would license FMA contraction and reassociation and break
 bit-equivalence):
 
 * ``grouped_discharge`` — one sort + one pass replaces the reference's
-  unique/bincount/mask/scatter chain.
+  argsort/bincount/mask/scatter chain.
 * ``ewma_fold_shared`` / ``ewma_fold_pairs`` — grouped EWMA folds with
   the decay powers read from the numpy-precomputed ``pow_table``
   (``pow`` is transcendental; jitted libm ``pow`` differs from numpy's

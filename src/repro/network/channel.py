@@ -56,13 +56,15 @@ def delivery_probability(
     if not 0.0 <= floor < 1.0:
         raise ValueError("floor must lie in [0, 1)")
     d = np.asarray(distance, dtype=np.float64)
-    if np.any(d < 0.0):
+    if (d < 0.0).any():
         raise ValueError("distance must be non-negative")
     knee = 2.0 * d0
-    with np.errstate(divide="ignore"):
-        x = np.where(d > 0.0, np.log(d / knee), -np.inf)
+    # log only where d / knee > 0, so no divide-by-zero warning; d = 0
+    # (or a d that underflows) keeps x = -inf, and exp(-inf) -> 0 gives
+    # p = 1 there, as desired.
+    dk = d / knee
+    x = np.log(dk, out=np.full(dk.shape, -np.inf), where=dk > 0.0)
     p = floor + (1.0 - floor) / (1.0 + np.exp(sharpness * x * 4.0))
-    # exp(-inf) -> 0 gives p = 1 at d = 0, as desired.
     if np.isscalar(distance) or getattr(distance, "ndim", 1) == 0:
         return float(p)
     return p
@@ -359,6 +361,3 @@ class Channel:
         if self._tel_attempts is not None:
             self._tel_attempts.add(acks.size)
             self._tel_acks.add(int(acks.sum()))
-
-    #: Backward-compatible alias for :meth:`attempt_batch`.
-    attempt_many = attempt_batch

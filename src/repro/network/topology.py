@@ -31,8 +31,19 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 3 or b.shape[1] != 3:
         raise ValueError("inputs must have shape (n, 3) and (m, 3)")
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
+    return _pairwise_distances(a, _sq_norms(a), b)
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Row squared norms ``||a_i||^2`` of a validated ``(n, 3)`` array."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def _pairwise_distances(a: np.ndarray, aa: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_distances` without validation, given ``a``'s
+    squared norms ``aa = _sq_norms(a)`` (a caller that measures one
+    point set against many ``b`` computes them once)."""
+    bb = _sq_norms(b)
     sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)

@@ -70,17 +70,17 @@ class TestChannel:
         ch = self.make(seed=3)
         d = 2 * D0
         p = ch.success_probability(d)
-        outcomes = ch.attempt_many(np.full(20_000, d))
+        outcomes = ch.attempt_batch(np.full(20_000, d))
         assert outcomes.mean() == pytest.approx(p, abs=0.02)
 
     def test_blackout_fails_everything(self):
         ch = self.make(blackout=True)
         assert not ch.attempt(0.0)
-        assert not ch.attempt_many(np.zeros(10)).any()
+        assert not ch.attempt_batch(np.zeros(10)).any()
 
-    def test_attempt_many_shape(self):
+    def test_attempt_batch_shape(self):
         ch = self.make()
-        assert ch.attempt_many(np.zeros((3, 2))).shape == (3, 2)
+        assert ch.attempt_batch(np.zeros((3, 2))).shape == (3, 2)
 
 
 class TestLinkEstimator:
