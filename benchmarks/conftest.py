@@ -15,11 +15,6 @@ import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Repository root — machine-readable benchmark artifacts are mirrored
-#: here (``BENCH_<name>.json``) so CI regression gates and reviewers
-#: find them without digging into the results directory.
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
 
 def publish(name: str, text: str) -> None:
     """Print a report block and persist it to benchmarks/results/."""
@@ -33,16 +28,18 @@ def publish_json(name: str, payload: dict) -> pathlib.Path:
 
     The ASCII reports from :func:`publish` are for humans; this is the
     companion artifact for tooling (CI comparisons, regression diffs).
-    Payloads must be JSON-serialisable as written — no coercion.  The
-    artifact is written twice: under ``benchmarks/results/`` alongside
-    the ASCII report, and mirrored at the repository root where the CI
-    gates pick it up.
+    Payloads must be JSON-serialisable as written — no coercion.
+
+    Only ``benchmarks/results/`` is written.  The copies at the
+    repository root are the committed baselines that
+    ``scripts/check_bench_regression.py`` compares fresh records
+    against, so a bench run never touches them.  To anchor a new
+    baseline, run the bench, copy ``benchmarks/results/BENCH_<name>.json``
+    to the root, and commit that copy on its own with the measurement
+    that justifies it.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(text)
-    root_path = REPO_ROOT / f"BENCH_{name}.json"
-    root_path.write_text(text)
-    print(f"\nwrote {path} (mirrored at {root_path})")
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"\nwrote {path}")
     return path

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .sweep import SweepResult
 
@@ -89,6 +88,10 @@ def paired_comparison(
     losses = int((diffs < 0).sum())
     ties = int((diffs == 0).sum())
     decisive = wins + losses
+    # scipy.stats takes about a second to import: load it on first use,
+    # not with every process that imports the sweep executor.
+    from scipy import stats as sps
+
     p = (
         float(sps.binomtest(wins, decisive, 0.5).pvalue) if decisive else 1.0
     )

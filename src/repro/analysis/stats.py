@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["MeanCI", "mean_ci", "censored_mean", "jains_index", "latency_percentiles"]
 
@@ -46,6 +45,8 @@ def mean_ci(values, confidence: float = 0.95) -> MeanCI:
     if v.size == 1:
         return MeanCI(m, float("nan"), 1)
     sem = float(v.std(ddof=1)) / np.sqrt(v.size)
+    from scipy import stats as sps  # imported on first use: ~1 s
+
     t = float(sps.t.ppf(0.5 + confidence / 2.0, df=v.size - 1))
     return MeanCI(m, t * sem, int(v.size))
 

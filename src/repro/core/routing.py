@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import QLearningConfig
-from ..kernels.base import budget_rows, euclidean
+from ..kernels.base import budget_rows, euclidean_columns
 from ..kernels.numpy_backend import expected_q_tree
 from ..rl.policies import EpsilonGreedyPolicy, GreedyPolicy, Policy
 from ..rl.qtable import VTable
@@ -96,12 +96,13 @@ class HeadGrid:
     takes every head.
     """
 
-    def __init__(self, heads: np.ndarray, positions: np.ndarray) -> None:
+    def __init__(self, heads: np.ndarray, columns: np.ndarray) -> None:
+        """``columns``: the heads' ``(3, k)`` coordinate columns."""
         self.heads = heads.copy()
-        self.positions = positions.copy()
+        self.columns = columns.copy()
         k = heads.size
-        self.lo = positions.min(axis=0)
-        span = positions.max(axis=0) - self.lo
+        self.lo = columns.min(axis=1)
+        span = columns.max(axis=1) - self.lo
         # About k cubic cells; an axis thinner than a cell gets one.
         spread = span > 0.0
         while spread.any():
@@ -114,24 +115,22 @@ class HeadGrid:
         if spread.any():
             self.dims[spread] = np.ceil(span[spread] / side)
         self.cell = np.where(spread, span / self.dims, 1.0)
-        self.strides = np.array(
-            [self.dims[1] * self.dims[2], self.dims[2], 1], dtype=np.intp
-        )
-        axes = [
+        #: ``axes[a][i]``: coordinate ``a`` of the centre of every cell
+        #: with index ``i`` along axis ``a``.
+        self.axes = [
             self.lo[a] + (np.arange(self.dims[a]) + 0.5) * self.cell[a]
             for a in range(3)
         ]
-        self.centres = np.stack(
-            np.meshgrid(*axes, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
+        centres = np.stack(np.meshgrid(*self.axes, indexing="ij")).reshape(3, -1)
+        n_cells = centres.shape[1]
         self.depth = min(GRID_DEPTH, k)
         #: ``order[c]``: the columns of the heads nearest centre ``c``,
         #: nearest first; ``d[c]`` their distances to it.
-        self.order = np.empty((self.centres.shape[0], self.depth), dtype=np.intp)
+        self.order = np.empty((n_cells, self.depth), dtype=np.intp)
         d = np.empty(self.order.shape, dtype=np.float64)
-        for a in range(0, self.centres.shape[0], GRID_CHUNK):
+        for a in range(0, n_cells, GRID_CHUNK):
             b = a + GRID_CHUNK
-            block = euclidean(self.centres[a:b, None, :], positions[None, :, :])
+            block = euclidean_columns(centres[:, a:b, None], columns[:, None, :])
             near = np.argpartition(block, self.depth - 1, axis=1)[:, : self.depth]
             block = np.take_along_axis(block, near, axis=1)
             by_distance = np.argsort(block, axis=1)
@@ -144,21 +143,27 @@ class HeadGrid:
         # c * stride, a power of two above twice the largest distance,
         # so the offsets are exact and rows never interleave.
         self.stride = 2.0 ** np.ceil(np.log2(2.0 * d.max() + 2.0))
-        rows = np.arange(self.centres.shape[0])
+        rows = np.arange(n_cells)
         self.keys = (d + (rows * self.stride)[:, None]).ravel()
 
-    def matches(self, heads: np.ndarray, positions: np.ndarray) -> bool:
+    def matches(self, heads: np.ndarray, columns: np.ndarray) -> bool:
         return np.array_equal(self.heads, heads) and np.array_equal(
-            self.positions, positions
+            self.columns, columns
         )
 
     def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell of each point (clamped into the grid) and the point's
-        distance to that cell's centre."""
-        idx = np.floor((points - self.lo) / self.cell).astype(np.intp)
-        np.clip(idx, 0, self.dims - 1, out=idx)
-        cells = idx @ self.strides
-        return cells, euclidean(points, self.centres[cells])
+        """Cell of each point of the ``(3, n)`` coordinate columns
+        ``points`` (clamped into the grid) and the point's distance to
+        that cell's centre.  Each axis is binned on its own column, and
+        the cell number is an exact integer multiply-add."""
+        cells = 0
+        centre = []
+        for a in range(3):
+            i = np.floor((points[a] - self.lo[a]) / self.cell[a]).astype(np.intp)
+            np.clip(i, 0, self.dims[a] - 1, out=i)
+            cells = cells * self.dims[a] + i
+            centre.append(self.axes[a][i])
+        return cells, euclidean_columns(points, centre)
 
     def candidates(
         self, cells: np.ndarray, radius: np.ndarray
@@ -166,11 +171,13 @@ class HeadGrid:
         """``(rows, cols)``: for each query row, grouped by row, a
         superset of the head columns within ``radius[row]`` of the
         centre of ``cells[row]``."""
-        count = np.searchsorted(
-            self.keys,
-            cells * self.stride + np.minimum(radius, 0.5 * self.stride),
-            side="right",
-        ) - cells * self.depth
+        query = cells * self.stride + np.minimum(radius, 0.5 * self.stride)
+        # Searching in ascending query order walks the keys once (about
+        # 3x faster than in sender order); each count is the same.
+        by_query = np.argsort(query)
+        count = np.empty(cells.size, dtype=np.intp)
+        count[by_query] = np.searchsorted(self.keys, query[by_query], side="right")
+        count -= cells * self.depth
         start = cells * self.depth
         if self.depth < self.heads.size:
             # The ball may reach past the end of the list: every head.
@@ -413,22 +420,14 @@ class QRouter:
             self.v.set_many(nodes, old + self.learning_rate * (v_new - old))
         return picks
 
-    def _score(self, nodes, targets, d, x_src, v_self, is_bs=False) -> np.ndarray:
-        """Exact q of (sender, target) pairs at distances ``d``, laid
-        out in any broadcast shape: the block's ``y`` and Q combine.
-        ``is_bs`` masks the last axis as in :func:`expected_q_tree`."""
-        st = self.state
+    def _score(self, p, d, x_src, x_dst, v_targets, v_self, is_bs=False) -> np.ndarray:
+        """Exact q of (sender, action) pairs at distances ``d`` from
+        their gathered operands, laid out in any broadcast shape: the
+        block's ``y`` and Q combine.  ``is_bs`` masks the last axis as
+        in :func:`expected_q_tree`."""
         c = self.rewards.cfg
-        # The BS is mains-powered: its x(.) is pinned to 0, as in the block.
-        e_dst = st.ledger.residual[np.where(is_bs, 0, targets)]
         return expected_q_tree(
-            st.link_estimator.pairs(nodes, targets),
-            self.rewards.y(d),
-            x_src,
-            self.rewards.x(np.where(is_bs, 0.0, e_dst)),
-            is_bs,
-            self.v.get_many(targets),
-            v_self,
+            p, self.rewards.y(d), x_src, x_dst, is_bs, v_targets, v_self,
             g=c.g, alpha1=c.alpha1, alpha2=c.alpha2, beta1=c.beta1,
             beta2=c.beta2, bs_penalty=c.bs_penalty, gamma=self.cfg.gamma,
         )
@@ -459,36 +458,42 @@ class QRouter:
         denom = lo_w - BOUND_SLACK * hi_w
         if denom <= 0.0:
             return None
-        grid = self._grid
-        head_pos = st.nodes.positions[heads]
-        if grid is None or not grid.matches(heads, head_pos):
-            grid = self._grid = HeadGrid(heads, head_pos)
         n, k = nodes.size, heads.size
+        xyz = st.nodes.columns
+        head_cols = xyz.take(heads, axis=1)
+        grid = self._grid
+        if grid is None or not grid.matches(heads, head_cols):
+            grid = self._grid = HeadGrid(heads, head_cols)
         gamma = self.cfg.gamma
-        src = st.nodes.positions[nodes]
+        src = xyz.take(nodes, axis=1)
         x_src = self.rewards.x(st.ledger.residual[nodes])
         v_self = self.v.get_many(nodes)
+        # Per-action operands, gathered once and read by action column:
+        # the heads in columns 0..k-1, the BS in column k.  The BS is
+        # mains-powered, so its x(.) is pinned to 0, as in the block.
+        targets = self.action_targets(heads)
+        p = st.link_estimator.block(nodes, targets)
+        x_act = self.rewards.x(np.append(st.ledger.residual[heads], 0.0))
+        v_act = self.v.get_many(targets)
         # Two exact columns per sender: the head nearest its cell's
         # centre, and the BS.
         cells, d_cell = grid.locate(src)
-        near = grid.order[cells, 0]
         pair = np.empty((n, 2), dtype=np.intp)
-        pair[:, 0] = heads[near]
-        pair[:, 1] = st.bs_index
+        pair[:, 0] = grid.order[cells, 0]
+        pair[:, 1] = k
         d = np.empty((n, 2), dtype=np.float64)
-        d[:, 0] = euclidean(src, head_pos[near])
+        d[:, 0] = euclidean_columns(src, head_cols.take(pair[:, 0], axis=1))
         d[:, 1] = st.topology.d_to_bs[nodes]
         q2 = self._score(
-            nodes[:, None], pair, d, x_src[:, None], v_self[:, None],
-            np.array([False, True]),
+            p[np.arange(n)[:, None], pair], d, x_src[:, None], x_act[pair],
+            v_act[pair], v_self[:, None], np.array([False, True]),
         )
         q_bs = q2[:, 1]
-        floor = q2.max(axis=1)  # L_i <= row max
+        floor = np.maximum(q2[:, 0], q_bs)  # L_i <= row max
         # The bound B_i, and its slack: BOUND_SLACK times the size of
         # every term a q of this row or the bound adds up.
-        x_heads = self.rewards.x(st.ledger.residual[heads])
-        v_heads = self.v.get_many(heads)
-        own = c.alpha1 * (x_src + x_heads.max())
+        v_heads = v_act[:k]
+        own = c.alpha1 * (x_src + x_act[:k].max())
         fail = c.beta1 * x_src
         v_term = gamma * np.maximum(v_heads.max(), v_self)
         slack = BOUND_SLACK * (
@@ -502,10 +507,12 @@ class QRouter:
         # Candidates: heads the index cannot place beyond the radius,
         # then those whose exact distance is within it.
         rows, cols = grid.candidates(cells, (radius + d_cell) * RADIUS_MARGIN)
-        d = euclidean(src[rows], head_pos[cols])
-        keep = d <= radius[rows]
-        rows, cols, d = rows[keep], cols[keep], d[keep]
-        q = self._score(nodes[rows], heads[cols], d, x_src[rows], v_self[rows])
+        d = euclidean_columns(src.take(rows, axis=1), head_cols.take(cols, axis=1))
+        keep = np.flatnonzero(d <= radius[rows])
+        rows, cols, d = rows.take(keep), cols.take(keep), d.take(keep)
+        q = self._score(
+            p[rows, cols], d, x_src[rows], x_act[cols], v_act[cols], v_self[rows]
+        )
         # Row max, first maximiser and tie count over the candidates
         # and the BS column (column k, after every head).
         v_new = q_bs.copy()
@@ -528,7 +535,7 @@ class QRouter:
                     tied = np.append(tied, k)
                 picks[i] = rng.choice(tied)
         self.q_evaluations += n * (k + 1)
-        return self.action_targets(heads)[picks], v_new
+        return targets[picks], v_new
 
     def ch_backup(self, head: int) -> None:
         """Algorithm 1, line 15: a head refreshes its V from the BS

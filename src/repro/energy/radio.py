@@ -43,9 +43,13 @@ def amplifier_energy(
     d = np.asarray(distance, dtype=np.float64)
     if (d < 0.0).any():
         raise ValueError("distance must be non-negative")
-    fs = radio.eps_fs * d * d
-    mp = radio.eps_mp * d ** 4
-    out = bits * np.where(d < radio.d0, fs, mp)
+    amp = np.asarray(radio.eps_fs * d * d)
+    # ``d ** 4`` is a full pow, and most links are shorter than d0:
+    # raise only the multi-path ones (d >= d0, and NaN) to it.
+    far = ~(d < radio.d0)
+    if far.any():
+        amp[far] = radio.eps_mp * d[far] ** 4
+    out = bits * amp
     if np.isscalar(distance) or getattr(distance, "ndim", 1) == 0:
         return float(out)
     return out

@@ -200,7 +200,8 @@ def measure_relay_choice_scaling(
                 lambda: router._choose_pruned(senders, heads, None), repeats
             ),
             index_s=_median_seconds(
-                lambda: HeadGrid(heads, state.nodes.positions[heads]), repeats
+                lambda: HeadGrid(heads, state.nodes.columns.take(heads, axis=1)),
+                repeats,
             ),
         ))
     return rows

@@ -28,8 +28,9 @@ Three rules make that achievable at all:
    the order the reference accumulates them (``np.bincount`` adds in
    input order; a stable sort preserves within-group order).  Every
    Euclidean distance — scalar or batched, in the substrates or the
-   kernels — is :func:`euclidean`, which spells the sum of squares out
-   as ``(dx*dx + dz*dz) + dy*dy``: an explicit order, not whatever a
+   kernels — is :func:`euclidean` (or :func:`euclidean_columns`, the
+   same arithmetic on coordinate columns), which spells the sum of
+   squares out as ``(dx*dx + dz*dz) + dy*dy``: an explicit order, not whatever a
    reducer dispatches to (it is the order numpy's ``einsum`` uses for a
    length-3 reduction, which the golden traces were recorded with, and
    ``tests/kernels/test_euclidean.py`` pins the two equal).  Reducers
@@ -56,6 +57,7 @@ __all__ = [
     "KernelBackend",
     "budget_rows",
     "euclidean",
+    "euclidean_columns",
 ]
 
 
@@ -78,9 +80,30 @@ def euclidean(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
-    dx = dst[..., 0] - src[..., 0]
-    dy = dst[..., 1] - src[..., 1]
-    dz = dst[..., 2] - src[..., 2]
+    return _norm(
+        dst[..., 0] - src[..., 0],
+        dst[..., 1] - src[..., 1],
+        dst[..., 2] - src[..., 2],
+    )
+
+
+def euclidean_columns(src, dst) -> np.ndarray:
+    """:func:`euclidean` on coordinate columns: ``src`` and ``dst`` are
+    ``(x, y, z)`` triples of broadcast-compatible float64 arrays (a
+    ``(3, ...)`` array, such as :attr:`NodeArray.columns
+    <repro.network.node.NodeArray.columns>` gathered along its second
+    axis, is one).
+
+    Each coordinate is a contiguous 1-D gather instead of a strided
+    slice of ``(..., 3)`` rows; the arithmetic, and so every bit, is
+    :func:`euclidean`'s.
+    """
+    return _norm(dst[0] - src[0], dst[1] - src[1], dst[2] - src[2])
+
+
+def _norm(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """``sqrt((dx*dx + dz*dz) + dy*dy)`` in place in ``dx``: the one
+    summation order of every distance."""
     dx *= dx
     dz *= dz
     dx += dz

@@ -145,17 +145,6 @@ class LinkEstimator:
             p = np.broadcast_to(p, (len(nodes), p.size))
         return p
 
-    def pairs(self, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Range-checked estimates of matched ``(nodes[i], targets[i])``
-        links (the pairs of :meth:`block`, gathered flat)."""
-        if self.shared:
-            p = self._shared_row[targets]
-        else:
-            p = self._est[nodes, targets]
-        if np.any((p < 0.0) | (p > 1.0)):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        return p
-
     def get(self, node: int, target: int) -> float:
         if self.shared:
             return float(self._shared_row[target])

@@ -45,6 +45,14 @@ class Node:
 class NodeArray:
     """Immutable struct-of-arrays for N sensor nodes.
 
+    The coordinates are held twice: as ``(N, 3)`` rows
+    (:attr:`positions`) and as a ``(3, N)`` C-contiguous copy
+    (:attr:`columns`), so a gather of many nodes reads three contiguous
+    1-D columns instead of strided rows.  Both are read-only, and a
+    mobility step builds a new array, so the copy never goes stale.  It
+    is derived on first use and left out of pickles: a snapshot stores
+    the rows alone, byte for byte as before.
+
     Parameters
     ----------
     positions:
@@ -70,6 +78,14 @@ class NodeArray:
         self._energy = energy
         self._energy.flags.writeable = False
 
+    #: The coordinate columns: derived on first use, never pickled.
+    _columns: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_columns", None)
+        return state
+
     @property
     def n(self) -> int:
         return self._positions.shape[0]
@@ -78,6 +94,16 @@ class NodeArray:
     def positions(self) -> np.ndarray:
         """Read-only ``(N, 3)`` coordinate array."""
         return self._positions
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Read-only ``(3, N)`` C-contiguous coordinates: ``columns[a]``
+        is axis ``a`` of every node (bitwise ``positions[:, a]``)."""
+        if self._columns is None:
+            cols = np.ascontiguousarray(self._positions.T)
+            cols.flags.writeable = False
+            self._columns = cols
+        return self._columns
 
     @property
     def initial_energy(self) -> np.ndarray:

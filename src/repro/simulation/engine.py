@@ -268,13 +268,11 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def _generate(self, abs_slot: int, is_head: np.ndarray, stats: PacketStats) -> None:
         active = self.state.ledger.alive & ~is_head
-        counts = self.traffic.arrivals(active)
-        total = int(counts.sum())
-        if total == 0:
+        producing, counts = self.traffic.arrivals(active)
+        if producing.size == 0:
             return
-        stats.generated += total
-        producing = np.flatnonzero(counts)
-        sources = np.repeat(producing, counts[producing])
+        sources = np.repeat(producing, counts)
+        stats.generated += sources.size
         rows = self.arena.alloc(sources, abs_slot)
         self.buffers.push_batch(sources, rows)
 

@@ -20,7 +20,7 @@ from ..config import SimulationConfig
 from ..energy.battery import EnergyLedger
 from ..energy.radio import FirstOrderRadio
 from ..kernels import KernelBackend, default_backend
-from ..kernels.base import euclidean
+from ..kernels.base import euclidean, euclidean_columns
 from ..network.channel import Channel, LinkEstimator
 from ..network.deployment import deploy
 from ..network.node import BaseStation, NodeArray
@@ -151,19 +151,19 @@ class NetworkState:
     def distances_many(self, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Pairwise link lengths ``|nodes[i] -> targets[i]|`` where
         targets may include the BS sentinel (one slot's sender->relay
-        links in a single call)."""
+        links in a single call), gathered from the coordinate columns."""
         nodes = np.asarray(nodes, dtype=np.intp)
         targets = np.asarray(targets, dtype=np.intp)
-        out = np.empty(nodes.size, dtype=np.float64)
         is_bs = targets == self.bs_index
+        cols = self.nodes.columns
+        # A BS link is measured as the sender to itself, then replaced
+        # by the cached node->BS distance.
+        out = euclidean_columns(
+            cols.take(nodes, axis=1),
+            cols.take(np.where(is_bs, nodes, targets), axis=1),
+        )
         if is_bs.any():
             out[is_bs] = self.topology.d_to_bs[nodes[is_bs]]
-        real = ~is_bs
-        if real.any():
-            out[real] = self.kernels.distance_pairs(
-                self.nodes.positions[nodes[real]],
-                self.nodes.positions[targets[real]],
-            )
         return out
 
     def distances_matrix(self, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -43,8 +43,11 @@ class PoissonTraffic:
         self.rng = rng
         self.total_generated = 0
 
-    def arrivals(self, active: np.ndarray) -> np.ndarray:
-        """Packet counts generated this slot.
+    def arrivals(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The packets generated this slot, by source.
+
+        One Poisson count is drawn per active node, in ascending node
+        order, in a single call on the stream.
 
         Parameters
         ----------
@@ -56,18 +59,20 @@ class PoissonTraffic:
 
         Returns
         -------
-        ndarray
-            ``(N,)`` integer arrival counts (zero outside ``active``).
+        (sources, counts)
+            The nodes that produced at least one packet, ascending, and
+            how many each produced (both int64, equally long).
         """
         active = np.asarray(active, dtype=bool)
         if active.shape != (self.n,):
             raise ValueError("active mask must have shape (n_nodes,)")
-        counts = np.zeros(self.n, dtype=np.int64)
         idx = np.flatnonzero(active)
-        if idx.size:
-            counts[idx] = self.rng.poisson(self.config.rate_per_slot, size=idx.size)
-            self.total_generated += int(counts[idx].sum())
-        return counts
+        counts = self.rng.poisson(self.config.rate_per_slot, size=idx.size)
+        # A bool mask: np.nonzero scans it about 4x faster than int64.
+        producing = np.flatnonzero(counts > 0)
+        counts = counts[producing]
+        self.total_generated += int(counts.sum())
+        return idx[producing], counts
 
     def expected_per_round(self, n_active: int) -> float:
         """Mean offered load (packets/round) for ``n_active`` sources."""

@@ -1,5 +1,10 @@
 """Tests for paired protocol comparison statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.compare import paired_comparison, win_matrix
@@ -91,3 +96,20 @@ class TestWinMatrix:
         cmp = paired_comparison(sweep, "pdr", "qlec", "direct")
         assert cmp.n == 3
         assert cmp.mean_diff > 0  # clustering beats flooding the BS
+
+
+def test_sweep_executor_imports_leave_scipy_out():
+    """``scipy.stats`` costs about a second to import; the sweep
+    executor and the scheduler that every ``repro sweep`` loads must
+    not pay it (the statistics import it on first use)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.analysis.sweep, repro.parallel.scheduler; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

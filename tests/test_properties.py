@@ -118,6 +118,5 @@ class TestProtocolFairnessProperty:
             a.state.nodes.positions, b.state.nodes.positions
         )
         active = np.ones(a.state.n, dtype=bool)
-        np.testing.assert_array_equal(
-            a.traffic.arrivals(active), b.traffic.arrivals(active)
-        )
+        for x, y in zip(a.traffic.arrivals(active), b.traffic.arrivals(active)):
+            np.testing.assert_array_equal(x, y)
