@@ -297,3 +297,59 @@ def test_paper_round_record():
             "per_call_k": k,
         },
     )
+
+
+# ----------------------------------------------------------------------
+# Cold start: what a command pays before it does any work.
+# ----------------------------------------------------------------------
+
+
+def test_cold_start_record(tmp_path):
+    """Publish ``BENCH_cold_start.json``.
+
+    For each command of ``tests/test_import_budget.py`` (``import
+    repro``, ``repro --help``, and re-running a finished two-cell
+    ``repro sweep``): the median wall time of 5 fresh interpreters,
+    the number of ``repro.*`` modules it loads, and whether it loads
+    numpy.  ``modules_ceiling`` holds the module counts; the
+    bench-regression gate fails a fresh record that loads more than
+    the committed baseline's ceiling.
+    """
+    import statistics
+    import time
+
+    from tests.test_import_budget import (
+        COMMANDS,
+        finish_sweep,
+        loaded_modules,
+        repro_modules,
+        run_python,
+    )
+
+    runs = 5
+    finish_sweep(tmp_path)
+    commands = {}
+    for name, args in COMMANDS.items():
+        walls = []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            run_python(args, tmp_path)
+            walls.append(time.perf_counter() - t0)
+        modules = loaded_modules(args, tmp_path)
+        commands[name] = {
+            "argv": list(args),
+            "wall_s": statistics.median(walls),
+            "repro_modules": len(repro_modules(modules)),
+            "loads_numpy": "numpy" in modules,
+        }
+    publish_json(
+        "cold_start",
+        {
+            "bench": "cold_start",
+            "runs": runs,
+            "commands": commands,
+            "modules_ceiling": {
+                name: c["repro_modules"] for name, c in commands.items()
+            },
+        },
+    )

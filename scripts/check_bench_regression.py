@@ -13,7 +13,10 @@ and fails on:
   *baseline's* ``rss_ceiling_mb`` (the committed ceiling is the
   contract, whatever the fresh record claims);
 * a **floor breach** — fresh values below the absolute floors the
-  records themselves carry (``throughput_floor``, ``speedup_floor``).
+  records themselves carry (``throughput_floor``, ``speedup_floor``);
+* an **import-budget breach** — a fresh command loading more
+  ``repro.*`` modules (``commands[<name>].repro_modules``) than the
+  *baseline's* ``modules_ceiling[<name>]``.
 
 A benchmark with no committed baseline (new bench, not yet anchored)
 or no fresh record (leg not run on this host) is skipped with a
@@ -77,6 +80,15 @@ def compare(name: str, fresh: dict, base: dict) -> list[str]:
             failures.append(
                 f"{name}: peak_rss_mb {fresh['peak_rss_mb']:.1f} breaches "
                 f"the committed ceiling {ceiling:.1f}"
+            )
+    for command, ceiling in base.get("modules_ceiling", {}).items():
+        loaded = fresh.get("commands", {}).get(command, {}).get("repro_modules")
+        if loaded is None:
+            failures.append(f"{name}: fresh record lacks {command!r} modules")
+        elif loaded > ceiling:
+            failures.append(
+                f"{name}: {command} loads {loaded} repro modules, above "
+                f"the committed ceiling {ceiling}"
             )
     for floor_key, value_key in FLOOR_KEYS.items():
         floor = fresh.get(floor_key)

@@ -21,91 +21,56 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 figure regenerations.
 """
 
-from .baselines import (
-    ClusteringProtocol,
-    DEECProtocol,
-    DirectProtocol,
-    FCMProtocol,
-    KMeansProtocol,
-    LEACHProtocol,
-    fuzzy_c_means,
-    kmeans,
-)
-from .config import (
-    DeploymentConfig,
-    PaperConfig,
-    QLearningConfig,
-    QueueConfig,
-    RadioConfig,
-    SimulationConfig,
-    TrafficConfig,
-    paper_config,
-)
-from .core import (
-    ImprovedDEECSelector,
-    QLECProtocol,
-    QRouter,
-    RewardModel,
-    SelectionConfig,
-    cluster_radius,
-    optimal_cluster_count,
-    optimal_cluster_count_int,
-)
-from .energy import EnergyLedger, FirstOrderRadio
-from .network import (
-    BaseStation,
-    Channel,
-    NodeArray,
-    Topology,
-    mountain_terrain,
-    underwater_column,
-    uniform_cube,
-)
-from .simulation import (
-    NetworkState,
-    SimulationEngine,
-    SimulationResult,
-    run_simulation,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BaseStation",
-    "Channel",
-    "ClusteringProtocol",
-    "DEECProtocol",
-    "DeploymentConfig",
-    "DirectProtocol",
-    "EnergyLedger",
-    "FCMProtocol",
-    "FirstOrderRadio",
-    "ImprovedDEECSelector",
-    "KMeansProtocol",
-    "LEACHProtocol",
-    "NetworkState",
-    "NodeArray",
-    "PaperConfig",
-    "QLECProtocol",
-    "QLearningConfig",
-    "QRouter",
-    "QueueConfig",
-    "RadioConfig",
-    "RewardModel",
-    "SelectionConfig",
-    "SimulationConfig",
-    "SimulationEngine",
-    "SimulationResult",
-    "Topology",
-    "TrafficConfig",
-    "cluster_radius",
-    "fuzzy_c_means",
-    "kmeans",
-    "mountain_terrain",
-    "optimal_cluster_count",
-    "optimal_cluster_count_int",
-    "paper_config",
-    "run_simulation",
-    "underwater_column",
-    "uniform_cube",
-]
+# Names resolve on first access, so ``import repro`` loads no numpy.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".baselines": (
+        "ClusteringProtocol",
+        "DEECProtocol",
+        "DirectProtocol",
+        "FCMProtocol",
+        "KMeansProtocol",
+        "LEACHProtocol",
+        "fuzzy_c_means",
+        "kmeans",
+    ),
+    ".config": (
+        "DeploymentConfig",
+        "PaperConfig",
+        "QLearningConfig",
+        "QueueConfig",
+        "RadioConfig",
+        "SimulationConfig",
+        "TrafficConfig",
+        "paper_config",
+    ),
+    ".core": (
+        "ImprovedDEECSelector",
+        "QLECProtocol",
+        "QRouter",
+        "RewardModel",
+        "SelectionConfig",
+        "cluster_radius",
+        "optimal_cluster_count",
+        "optimal_cluster_count_int",
+    ),
+    ".energy": ("EnergyLedger", "FirstOrderRadio"),
+    ".network": (
+        "BaseStation",
+        "Channel",
+        "NodeArray",
+        "Topology",
+        "mountain_terrain",
+        "underwater_column",
+        "uniform_cube",
+    ),
+    ".simulation": (
+        "NetworkState",
+        "SimulationEngine",
+        "SimulationResult",
+        "run_simulation",
+    ),
+})

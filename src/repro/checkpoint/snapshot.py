@@ -56,6 +56,8 @@ import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .. import __version__
+
 if TYPE_CHECKING:
     from ..simulation.engine import SimulationEngine
 
@@ -177,7 +179,6 @@ def write_checkpoint(engine: "SimulationEngine", path) -> dict:
     file under the final name (and a torn *tmp* never matches the
     snapshot glob).
     """
-    from .. import __version__
     from ..telemetry.manifest import config_fingerprint
 
     path = Path(path)
@@ -239,8 +240,6 @@ def read_checkpoint(
     signature (mismatch).  Only a fully validated payload is ever
     deserialized.
     """
-    from .. import __version__
-
     path = Path(path)
     try:
         raw = path.read_bytes()

@@ -129,8 +129,8 @@ def _add_checkpoint_args(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_faults_arg(cmd: argparse.ArgumentParser) -> None:
-    # Choices deferred to runtime would hide typos until the run starts;
-    # the catalog import is cheap (pure-python, no numpy work at import).
+    # Choices deferred to runtime would hide typos until the run starts.
+    # The catalog loads no numpy (tests/test_import_budget.py holds it).
     from .faults import fault_scenario_names
 
     cmd.add_argument(

@@ -9,21 +9,11 @@ the no-fault path is bit-identical to the golden traces (enforced by
 ``scripts/check_fault_null_equivalence.py`` in CI).
 """
 
-from .catalog import FAULT_SCENARIOS, build_fault_plan, fault_scenario_names
-from .injector import NULL_INJECTOR, NullInjector, PlanInjector
-from .metrics import per_round_pdr, rounds_to_recover
-from .plan import EVENT_KINDS, FaultEvent, FaultPlan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "FAULT_SCENARIOS",
-    "FaultEvent",
-    "FaultPlan",
-    "NULL_INJECTOR",
-    "NullInjector",
-    "PlanInjector",
-    "build_fault_plan",
-    "fault_scenario_names",
-    "per_round_pdr",
-    "rounds_to_recover",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".catalog": ("FAULT_SCENARIOS", "build_fault_plan", "fault_scenario_names"),
+    ".injector": ("NULL_INJECTOR", "NullInjector", "PlanInjector"),
+    ".metrics": ("per_round_pdr", "rounds_to_recover"),
+    ".plan": ("EVENT_KINDS", "FaultEvent", "FaultPlan"),
+})

@@ -14,38 +14,24 @@ Every backend is bit-identical to the numpy reference by contract —
 selection changes wall-clock only, never results.
 """
 
-from .base import BackendUnavailableError, KernelBackend
-from .numba_backend import NumbaBackend, numba_version
-from .numpy_backend import NumpyBackend
-from .profiling import ProfiledBackend
-from .registry import (
-    BACKEND_CHOICES,
-    available_backends,
-    backend_available,
-    backend_names,
-    backend_versions,
-    default_backend,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    resolve_backend_name,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "BackendUnavailableError",
-    "KernelBackend",
-    "NumbaBackend",
-    "NumpyBackend",
-    "ProfiledBackend",
-    "available_backends",
-    "backend_available",
-    "backend_names",
-    "backend_versions",
-    "default_backend",
-    "get_backend",
-    "numba_version",
-    "register_backend",
-    "resolve_backend",
-    "resolve_backend_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("KernelBackend",),
+    ".numba_backend": ("NumbaBackend", "numba_version"),
+    ".numpy_backend": ("NumpyBackend",),
+    ".profiling": ("ProfiledBackend",),
+    ".registry": (
+        "BACKEND_CHOICES",
+        "BackendUnavailableError",
+        "available_backends",
+        "backend_available",
+        "backend_names",
+        "backend_versions",
+        "default_backend",
+        "get_backend",
+        "register_backend",
+        "resolve_backend",
+        "resolve_backend_name",
+    ),
+})

@@ -52,6 +52,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .registry import BackendUnavailableError
+
 __all__ = [
     "BackendUnavailableError",
     "KernelBackend",
@@ -110,11 +112,6 @@ def _norm(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
-
-
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested backend cannot run in this environment
-    (e.g. ``--backend numba`` without the optional numba package)."""
 
 
 class KernelBackend(abc.ABC):

@@ -2,7 +2,7 @@
 
 Import-guarded — numba is an optional extra, never a hard dependency.
 Constructing :class:`NumbaBackend` without numba raises
-:class:`~repro.kernels.base.BackendUnavailableError`; resolution via
+:class:`~repro.kernels.registry.BackendUnavailableError`; resolution via
 ``"auto"`` falls back to the numpy reference (with a warning) instead.
 
 What is jitted and what is not
@@ -35,23 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BackendUnavailableError
 from .numpy_backend import NumpyBackend
+from .registry import BackendUnavailableError, numba_version
 
 __all__ = ["NumbaBackend", "numba_version"]
-
-
-def numba_version() -> str | None:
-    """Version of the optional numba package, or None when absent.
-
-    The single capability probe for the backend — tests monkeypatch it
-    to exercise the degradation paths without touching the environment.
-    """
-    try:
-        import numba
-    except Exception:  # pragma: no cover - exercised via monkeypatch
-        return None
-    return getattr(numba, "__version__", "unknown")
 
 
 #: The compiled kernel table (strict IEEE), built once per process on

@@ -25,26 +25,47 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..config import EQUIVALENCE_CHOICES
-from .base import BackendUnavailableError, KernelBackend
-from .numba_backend import NumbaBackend, numba_version
-from .numpy_backend import NumpyBackend
+
+if TYPE_CHECKING:
+    from .base import KernelBackend
 
 __all__ = [
     "BACKEND_CHOICES",
+    "BackendUnavailableError",
     "available_backends",
     "backend_available",
     "backend_names",
     "backend_versions",
     "default_backend",
     "get_backend",
+    "numba_version",
     "register_backend",
     "resolve_backend",
     "resolve_backend_name",
 ]
+
+
+class BackendUnavailableError(RuntimeError):
+    """An explicitly requested backend cannot run in this environment
+    (e.g. ``--backend numba`` without the optional numba package)."""
+
+
+def numba_version() -> str | None:
+    """Version of the optional numba package, or None when absent.
+
+    The single capability probe for the numba backend — tests
+    monkeypatch it to exercise the degradation paths without touching
+    the environment.
+    """
+    try:
+        import numba
+    except Exception:  # pragma: no cover - exercised via monkeypatch
+        return None
+    return getattr(numba, "__version__", "unknown")
+
 
 #: Selector values the CLI / config accept out of the box.
 BACKEND_CHOICES = ("auto", "numpy", "numba")
@@ -169,10 +190,8 @@ def resolve_backend(
             f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
             f"got {equivalence!r}"
         )
-    if isinstance(selector, KernelBackend):
-        return selector
     if not isinstance(selector, str):
-        raise TypeError(f"backend selector must be a string, got {type(selector)}")
+        return _backend_instance(selector)
     if selector == "auto":
         try:
             return get_backend("numba")
@@ -196,10 +215,8 @@ def resolve_backend_name(selector: str | KernelBackend = "auto") -> str:
     This is what sharding cell IDs and run manifests record: the
     concrete backend identity, never ``"auto"``.
     """
-    if isinstance(selector, KernelBackend):
-        return selector.name
     if not isinstance(selector, str):
-        raise TypeError(f"backend selector must be a string, got {type(selector)}")
+        return _backend_instance(selector).name
     if selector == "auto":
         return "numba" if backend_available("numba") else "numpy"
     if selector not in _FACTORIES:
@@ -209,12 +226,36 @@ def resolve_backend_name(selector: str | KernelBackend = "auto") -> str:
     return selector
 
 
+def _backend_instance(selector) -> KernelBackend:
+    from .base import KernelBackend
+
+    if not isinstance(selector, KernelBackend):
+        raise TypeError(f"backend selector must be a string, got {type(selector)}")
+    return selector
+
+
 def backend_versions() -> dict[str, str | None]:
     """Versions of the numeric substrate per backend dependency —
     recorded in run manifests so artifacts are attributable to the
     exact kernel provenance.  ``None`` marks an absent optional dep."""
+    import numpy as np
+
     return {"numpy": np.__version__, "numba": numba_version()}
 
 
-register_backend("numpy", NumpyBackend, probe=lambda: True)
-register_backend("numba", NumbaBackend, probe=lambda: numba_version() is not None)
+# The built-in factories import their backend on first construction,
+# so resolving a backend *name* loads neither backend (nor numpy).
+def _numpy_backend() -> KernelBackend:
+    from .numpy_backend import NumpyBackend
+
+    return NumpyBackend()
+
+
+def _numba_backend() -> KernelBackend:
+    from .numba_backend import NumbaBackend
+
+    return NumbaBackend()
+
+
+register_backend("numpy", _numpy_backend, probe=lambda: True)
+register_backend("numba", _numba_backend, probe=lambda: numba_version() is not None)

@@ -70,7 +70,6 @@ from ..telemetry.manifest import (
     shard_manifest,
     stable_fingerprint,
 )
-from ..telemetry.registry import deterministic_view, merge_snapshots
 
 __all__ = [
     "CELL_KIND",
@@ -572,6 +571,8 @@ def rewrite_artifact(path: Path, codec: str, records: Iterable[dict]) -> None:
 
 def telemetry_trailer(records: Iterable[dict]) -> dict:
     """The ``shard-telemetry`` record folding every row's snapshot."""
+    from ..telemetry.registry import merge_snapshots
+
     snaps = [
         r["telemetry"] for r in records
         if r["kind"] == CELL_KIND and "telemetry" in r
@@ -715,6 +716,7 @@ def merge_artifacts(
     is exactly the nondeterminism this layer exists to rule out.
     """
     from ..analysis.sweep import SweepResult
+    from ..telemetry.registry import deterministic_view, merge_snapshots
 
     loaded = [
         a if isinstance(a, ShardArtifact) else load_artifact(a)

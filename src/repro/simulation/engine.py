@@ -51,12 +51,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..checkpoint import CheckpointWriter, DrainInterrupted
 from ..config import SimulationConfig
-
-if TYPE_CHECKING:  # avoid a runtime cycle with baselines.base
-    from ..baselines.base import ClusteringProtocol
+from ..energy.harvesting import build_harvester
 from ..faults import NULL_INJECTOR, PlanInjector
-from ..kernels import KernelBackend, resolve_backend
+# resolve_backend builds a backend on an engine's first construction;
+# this module loads both built-in ones, so no import happens in a run.
+from ..kernels import (
+    KernelBackend,
+    ProfiledBackend,
+    numba_backend,  # noqa: F401
+    numpy_backend,  # noqa: F401
+    resolve_backend,
+)
+from ..network.mobility import build_mobility
 from ..network.node import BaseStation, NodeArray
 from ..network.packet import PacketArena, PacketStats, PacketStatus
 from ..network.queueing import QueueBank, SourceBuffers
@@ -68,6 +76,9 @@ from .metrics import RoundStats, SimulationResult
 from .state import NetworkState
 from .trace import TraceRecorder
 from .traffic import PoissonTraffic
+
+if TYPE_CHECKING:  # avoid a runtime cycle with baselines.base
+    from ..baselines.base import ClusteringProtocol
 
 __all__ = ["SimulationEngine", "run_simulation"]
 
@@ -170,8 +181,6 @@ class SimulationEngine:
         # their deterministic-view equality); the wrapper is
         # numerically invisible and proxies the inner backend's name.
         if tel.profile_kernels or tel.spans is not None:
-            from ..kernels import ProfiledBackend
-
             self.kernels = ProfiledBackend(
                 self.kernels,
                 registry=tel.registry if tel.profile_kernels else None,
@@ -202,8 +211,6 @@ class SimulationEngine:
         self.trace = trace
         self.mobility = None
         if config.mobility is not None:
-            from ..network.mobility import build_mobility
-
             self.mobility = build_mobility(
                 config.mobility,
                 config.deployment.side,
@@ -232,8 +239,6 @@ class SimulationEngine:
             self._retry_spent = np.zeros(self.state.n, dtype=np.int64)
         self.harvester = None
         if config.harvesting is not None:
-            from ..energy.harvesting import build_harvester
-
             self.harvester = build_harvester(
                 config.harvesting, self.state.harvest_rng
             )
@@ -1006,8 +1011,6 @@ class SimulationEngine:
         if checkpoint_every is not None:
             if checkpoint_dir is None:
                 raise ValueError("checkpoint_every requires checkpoint_dir")
-            from ..checkpoint import CheckpointWriter
-
             writer = CheckpointWriter(
                 checkpoint_dir,
                 checkpoint_tag,
@@ -1030,8 +1033,7 @@ class SimulationEngine:
             if self.stop_on_death and self._first_death_round is not None:
                 break
             self.run_round()
-            if writer is not None:
-                writer.maybe(self)
+            path = writer.maybe(self) if writer is not None else None
             if (
                 stop_requested is not None
                 and len(self._rounds) < self.config.rounds
@@ -1040,9 +1042,10 @@ class SimulationEngine:
                 )
                 and stop_requested()
             ):
-                from ..checkpoint import DrainInterrupted
-
-                path = writer.snapshot(self) if writer is not None else None
+                # A drain on a checkpoint boundary reuses the round's
+                # snapshot instead of writing it twice.
+                if writer is not None and path is None:
+                    path = writer.snapshot(self)
                 raise DrainInterrupted(path, self.state.round_index)
         # Source backlog that never left its sensor expires with the run.
         while True:

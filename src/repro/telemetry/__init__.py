@@ -27,74 +27,44 @@ See ``docs/observability.md`` for the metric-name taxonomy and the
 trace JSONL schema.
 """
 
-from .jsonl import (
-    COMPRESSION_CHOICES,
-    CompressionUnavailableError,
-    JsonlWriter,
-    atomic_write_text,
-    detect_compression,
-    read_jsonl_tolerant,
-    read_text_tolerant,
-    resolve_compression,
-)
-from .manifest import (
-    MANIFEST_KIND,
-    MANIFEST_SCHEMA,
-    SHARD_MANIFEST_KIND,
-    config_fingerprint,
-    run_manifest,
-    shard_manifest,
-    stable_fingerprint,
-)
-from .registry import (
-    NONDETERMINISTIC_PREFIXES,
-    TIME_PREFIX,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    deterministic_view,
-    merge_snapshots,
-)
-from .timers import NULL, NullTelemetry, Telemetry
-from .trace import (
-    TRACE_SCHEMA,
-    SpanTracer,
-    merge_trace_summaries,
-    read_trace_jsonl,
-    rss_mb,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COMPRESSION_CHOICES",
-    "CompressionUnavailableError",
-    "JsonlWriter",
-    "MANIFEST_KIND",
-    "MANIFEST_SCHEMA",
-    "NONDETERMINISTIC_PREFIXES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "NULL",
-    "NullTelemetry",
-    "SHARD_MANIFEST_KIND",
-    "SpanTracer",
-    "TIME_PREFIX",
-    "TRACE_SCHEMA",
-    "Telemetry",
-    "atomic_write_text",
-    "config_fingerprint",
-    "detect_compression",
-    "deterministic_view",
-    "merge_snapshots",
-    "merge_trace_summaries",
-    "read_jsonl_tolerant",
-    "read_text_tolerant",
-    "read_trace_jsonl",
-    "resolve_compression",
-    "rss_mb",
-    "run_manifest",
-    "shard_manifest",
-    "stable_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".jsonl": (
+        "COMPRESSION_CHOICES",
+        "CompressionUnavailableError",
+        "JsonlWriter",
+        "atomic_write_text",
+        "detect_compression",
+        "read_jsonl_tolerant",
+        "read_text_tolerant",
+        "resolve_compression",
+    ),
+    ".manifest": (
+        "MANIFEST_KIND",
+        "MANIFEST_SCHEMA",
+        "SHARD_MANIFEST_KIND",
+        "config_fingerprint",
+        "run_manifest",
+        "shard_manifest",
+        "stable_fingerprint",
+    ),
+    ".registry": (
+        "NONDETERMINISTIC_PREFIXES",
+        "TIME_PREFIX",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricRegistry",
+        "deterministic_view",
+        "merge_snapshots",
+    ),
+    ".timers": ("NULL", "NullTelemetry", "Telemetry"),
+    ".trace": (
+        "TRACE_SCHEMA",
+        "SpanTracer",
+        "merge_trace_summaries",
+        "read_trace_jsonl",
+        "rss_mb",
+    ),
+})

@@ -16,6 +16,8 @@ import hashlib
 import json
 from typing import TYPE_CHECKING
 
+from .. import __version__
+
 if TYPE_CHECKING:
     from ..config import SimulationConfig
 
@@ -77,7 +79,6 @@ def run_manifest(
     are bit-identical by contract, but a violated contract is only
     diagnosable if the artifact says what produced it.
     """
-    from .. import __version__  # deferred: repro/__init__ imports the engine
     from ..kernels import backend_versions, resolve_backend_name
 
     manifest = {
@@ -125,8 +126,6 @@ def shard_manifest(
     shadow the core keys (same rule as :func:`run_manifest`), and they
     never participate in spec fingerprints: provenance, not identity.
     """
-    from .. import __version__  # deferred: repro/__init__ imports the engine
-
     if (shard, num_shards) != (0, 0) and not 1 <= shard <= num_shards:
         raise ValueError(f"shard {shard}/{num_shards} out of range")
     manifest = {

@@ -250,6 +250,30 @@ class TestDrain:
         _, restored = read_checkpoint(exc.snapshot_path)
         assert restored.run().summary() == expected.summary()
 
+    def test_boundary_drain_writes_the_round_once(self, tmp_path, monkeypatch):
+        from repro.checkpoint import snapshot as snapshot_mod
+
+        written = []
+
+        def counting_write(engine, path):
+            written.append(path)
+            return write_checkpoint(engine, path)
+
+        monkeypatch.setattr(snapshot_mod, "write_checkpoint", counting_write)
+        polls = iter([False, True])
+        with pytest.raises(DrainInterrupted) as exc_info:
+            _engine(_config()).run(
+                checkpoint_every=1,  # every round is a boundary
+                checkpoint_dir=tmp_path,
+                stop_requested=lambda: next(polls),
+            )
+        exc = exc_info.value
+        assert exc.round_index == 2
+        assert [p.name for p in written] == [
+            f"run-r{r:08d}{CHECKPOINT_SUFFIX}" for r in (1, 2)
+        ]
+        assert exc.snapshot_path == written[-1] and exc.snapshot_path.exists()
+
     def test_drain_without_checkpointing_carries_no_snapshot(self):
         engine = _engine(_config())
         with pytest.raises(DrainInterrupted) as exc_info:

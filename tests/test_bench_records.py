@@ -41,3 +41,18 @@ def test_publish_leaves_the_root_baseline_alone(tmp_path, monkeypatch):
     assert gate.main(argv) == 1
     bench.publish_json("demo", baseline)
     assert gate.main(argv) == 0
+
+
+def test_gate_fails_a_command_that_loads_more_modules():
+    def record(modules):
+        return {
+            "commands": {"help": {"repro_modules": modules}},
+            "modules_ceiling": {"help": 9},
+        }
+
+    assert gate.compare("cold", record(9), record(9)) == []
+    assert gate.compare("cold", record(8), record(9)) == []
+    (msg,) = gate.compare("cold", record(10), record(9))
+    assert "help loads 10 repro modules" in msg and "ceiling 9" in msg
+    (msg,) = gate.compare("cold", {"commands": {}}, record(9))
+    assert "lacks 'help'" in msg
