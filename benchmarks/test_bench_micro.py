@@ -224,14 +224,19 @@ def test_paper_round_record():
     round's three hottest calls on n = 100 elements over k = 10 groups:
     ``EnergyLedger.discharge_many`` (n charges on k nodes),
     ``ewma_fold_shared`` (n outcomes on k targets) and
-    ``fuzzy_c_means`` (n points, k clusters).
+    ``fuzzy_c_means`` (n points, k clusters), plus the once-a-round
+    build of the link table a QLEC round reads (``round_links``: the
+    n x (k+1) distances, transmit energies, delivery probabilities and
+    costs ``y``).
     """
     import time
 
     from repro.analysis.sweep import run_cell
+    from repro.core.rewards import RewardModel
     from repro.energy.battery import EnergyLedger
     from repro.kernels import NumpyBackend
     from repro.parallel import SweepSpec
+    from repro.simulation.links import RoundLinks
 
     lam, rounds = 4.0, 20
     cfg = SweepSpec(
@@ -267,6 +272,19 @@ def test_paper_round_record():
     table = np.power(1.0 - 0.2, np.arange(n + 1))
     kernels = NumpyBackend()
     points = rng.uniform(0.0, 100.0, (n, 3))
+    state = NetworkState(cfg)
+    assert state.n == n
+    heads = np.arange(0, n, n // k)
+    rewards = RewardModel(
+        cfg.qlearning, state.radio, cfg.traffic.packet_bits,
+        energy_scale=float(state.ledger.initial.mean()),
+    )
+
+    def build_links():
+        links = RoundLinks(state, heads)
+        links.price(heads, heads)  # transmit energies and probabilities
+        links.derived(rewards.y)
+
     per_call_us = {
         "discharge_many": _per_call_us(
             lambda: ledger.discharge_many(idx, amounts, "rx"), 2000
@@ -277,6 +295,7 @@ def test_paper_round_record():
         "fuzzy_c_means": _per_call_us(
             lambda: fuzzy_c_means(points, k, 2.0, 0), 5
         ),
+        "round_links": _per_call_us(build_links, 500),
     }
     assert ledger.n_alive == n
 

@@ -163,10 +163,10 @@ class NearestHeadRelayMixin:
     """Vectorized ``choose_relays`` for join-the-nearest-head protocols
     (LEACH, DEEC, HEED, TL-LEACH, FCM's member stage ...).
 
-    Computes the full sender x head distance block in one shot and
-    argmins per row — the same sqrt pipeline as
-    :meth:`NetworkState.distances_from`, so ties resolve to the same
-    head index as the scalar rule.
+    Argmins each sender's row of the sender x head distance block (the
+    round's link table holds every node's nearest head) — the same
+    sqrt pipeline as :meth:`NetworkState.distances_from`, so ties
+    resolve to the same head index as the scalar rule.
     """
 
     def choose_relays(
@@ -176,6 +176,4 @@ class NearestHeadRelayMixin:
         heads: np.ndarray,
         queue_lengths: np.ndarray,
     ) -> np.ndarray:
-        heads = np.asarray(heads, dtype=np.intp)
-        d = state.distances_matrix(senders, heads)
-        return heads[d.argmin(axis=1)]
+        return state.links.nearest_heads(senders, np.asarray(heads, dtype=np.intp))

@@ -223,11 +223,8 @@ class KMeansProtocol(ClusteringProtocol):
     ) -> np.ndarray:
         senders = np.asarray(senders, dtype=np.intp)
         heads = np.asarray(heads, dtype=np.intp)
-        nearest = heads[
-            state.distances_matrix(senders, heads).argmin(axis=1)
-        ]
         if self._home_head is None:
-            return nearest
+            return state.links.nearest_heads(senders, heads)
         home = self._home_head[senders]
         home_ok = state.ledger.alive[home] & np.isin(home, heads)
         # Static scheme strands members of dead heads at the BS;
@@ -235,6 +232,6 @@ class KMeansProtocol(ClusteringProtocol):
         fallback = (
             np.full(senders.size, state.bs_index, dtype=np.intp)
             if self.recluster_every is None
-            else nearest
+            else state.links.nearest_heads(senders, heads)
         )
         return np.where(home_ok, home, fallback)

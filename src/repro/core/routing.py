@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import QLearningConfig
-from ..kernels.base import budget_rows, euclidean_columns
+from ..kernels.base import TILE_BYTES, budget_rows, euclidean_columns
 from ..kernels.numpy_backend import expected_q_tree
 from ..rl.policies import EpsilonGreedyPolicy, GreedyPolicy, Policy
 from ..rl.qtable import VTable
@@ -40,10 +40,6 @@ from ..simulation.state import NetworkState
 from .rewards import RewardModel
 
 __all__ = ["HeadGrid", "PRUNE_MIN_ACTIONS", "QRouter", "TILE_BYTES", "tile_rows"]
-
-#: Bytes of one ``(rows, k+1)`` float64 plane of a relay-choice tile.
-#: A tile's handful of live planes then fits a per-core L2 cache.
-TILE_BYTES = 256 * 1024
 
 #: Smallest action set (heads plus the BS action) on which greedy relay
 #: choice prunes candidates; smaller sets score the whole tiled block,
@@ -315,7 +311,10 @@ class QRouter:
         residual normalisations are computed by the same shared numpy
         code as the scalar path, and the backend's ``expected_q``
         combine preserves the reference's per-element expression tree
-        exactly (see :mod:`repro.kernels.base`).
+        exactly (see :mod:`repro.kernels.base`).  For the round's own
+        head set, ``y`` is gathered from the round's link table
+        (:mod:`repro.simulation.links`), which priced it with the same
+        code once a round.
 
         The block is evaluated over sender tiles of :func:`tile_rows`
         rows, distance -> ``y`` -> ``expected_q`` -> row max per tile,
@@ -338,22 +337,33 @@ class QRouter:
         x_dst = self.rewards.x(e_dst)
         v_targets = self.v.get_many(targets)
         v_self = self.v.get_many(nodes)
-        src = st.nodes.positions[nodes]
-        dst = st.nodes.positions[targets[:k]]
-        d_bs = st.topology.d_to_bs[nodes]
+        # The round's link table holds every node's y row for the
+        # round's heads; another head set prices its tiles here.
+        links = st.links
+        y_rows = None
+        if links.serves(heads):
+            y_rows = links.derived(self.rewards.y).take(nodes, axis=0)
+        else:
+            src = st.nodes.positions[nodes]
+            dst = st.nodes.positions[targets[:k]]
+            d_bs = st.topology.d_to_bs[nodes]
         c = self.rewards.cfg
         q = np.empty((n, m), dtype=np.float64)
         v_new = np.empty(n, dtype=np.float64)
         rows = tile_rows(m, st.config.max_block_mb)
         for a in range(0, n, rows):
             b = min(a + rows, n)
-            d = np.empty((b - a, m), dtype=np.float64)
-            if k:
-                d[:, :k] = self.kernels.distance_block(src[a:b], dst)
-            d[:, k] = d_bs[a:b]
+            if y_rows is not None:
+                y = y_rows[a:b]
+            else:
+                d = np.empty((b - a, m), dtype=np.float64)
+                if k:
+                    d[:, :k] = self.kernels.distance_block(src[a:b], dst)
+                d[:, k] = d_bs[a:b]
+                y = self.rewards.y(d)
             q[a:b], v_new[a:b] = self.kernels.expected_q(
                 p[a:b],
-                self.rewards.y(d),
+                y,
                 x_src[a:b],
                 x_dst,
                 is_bs,

@@ -57,10 +57,18 @@ from .registry import BackendUnavailableError
 __all__ = [
     "BackendUnavailableError",
     "KernelBackend",
+    "TILE_BYTES",
     "budget_rows",
     "euclidean",
     "euclidean_columns",
 ]
+
+
+#: Bytes of one ``(rows, k+1)`` float64 plane of a relay-choice tile.
+#: A tile's handful of live planes then fits a per-core L2 cache.  The
+#: per-round link table (``repro.simulation.links``) is built only
+#: within this budget too.
+TILE_BYTES = 256 * 1024
 
 
 def budget_rows(m: int, max_block_mb: float) -> int:

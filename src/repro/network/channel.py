@@ -306,27 +306,39 @@ class Channel:
         return out
 
     def attempt_batch(
-        self, distances: np.ndarray, senders: np.ndarray | None = None,
+        self, distances: np.ndarray | None = None,
+        senders: np.ndarray | None = None,
         targets: np.ndarray | None = None,
+        *,
+        curve: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized Bernoulli trials for a batch of links.
 
-        Consumes exactly ``distances.size`` uniforms in element order,
-        so a batched attempt and the equivalent sequence of scalar
+        Consumes exactly one uniform per link in element order, so a
+        batched attempt and the equivalent sequence of scalar
         :meth:`attempt` calls read the same generator stream.  The
         uniforms are always drawn here (stream determinism is never a
         backend concern); the backend supplies only the compare.
         Degradation (global or per endpoint via ``senders``/``targets``)
         scales the probabilities, never the draw count — faulted and
         unfaulted runs consume the channel stream identically.
+
+        ``curve``, when given instead of ``distances``, is each link's
+        :meth:`success_probability`, already priced (the round's link
+        table); degradation and the draw apply to it alike.
         """
-        distances = np.asarray(distances, dtype=np.float64)
-        if self.blackout:
-            out = np.zeros(distances.shape, dtype=bool)
+        if curve is None:
+            distances = np.asarray(distances, dtype=np.float64)
+            shape = distances.shape
         else:
+            shape = curve.shape
+        if self.blackout:
+            out = np.zeros(shape, dtype=bool)
+        else:
+            if curve is None:
+                curve = self.success_probability(distances)
             out = self.kernels.bernoulli(
-                self._probability(distances, senders, targets),
-                self.rng.random(distances.shape),
+                self._degraded(curve, senders, targets), self.rng.random(shape)
             )
         self._count(out)
         return out
@@ -335,7 +347,11 @@ class Channel:
         """Delivery probability under the current fault state: the
         ground-truth curve times the global ``degrade`` and then each
         given endpoint's ``node_factor`` (scalars or arrays alike)."""
-        p = self.success_probability(distance)
+        return self._degraded(self.success_probability(distance), senders, targets)
+
+    def _degraded(self, p, senders=None, targets=None):
+        """The fault-state factors of :meth:`_probability` applied to
+        the ground-truth probabilities ``p``."""
         if self.degrade != 1.0:
             p = p * self.degrade
         nf = self.node_factor

@@ -119,7 +119,10 @@ class PacketArena:
         self.status = np.zeros(cap, dtype=np.int8)
         self.delivered_slot = np.full(cap, -1, dtype=np.int64)
         self.nxt = np.full(cap, -1, dtype=np.int64)
-        self._free = np.empty(cap, dtype=np.int64)
+        # Zeroed, not empty: the unused tails of the columns and of the
+        # free stack are pickled into snapshots, so they must hold
+        # defined bytes rather than whatever the heap held.
+        self._free = np.zeros(cap, dtype=np.int64)
         self._n_free = 0
         self._size = 0          # high-water mark of rows ever handed out
         self._n_live = 0
@@ -155,10 +158,10 @@ class PacketArena:
             "status", "delivered_slot", "nxt",
         ):
             col = getattr(self, name)
-            new = np.empty(cap, dtype=col.dtype)
+            new = np.zeros(cap, dtype=col.dtype)
             new[:old] = col
             setattr(self, name, new)
-        free = np.empty(cap, dtype=np.int64)
+        free = np.zeros(cap, dtype=np.int64)
         free[: self._n_free] = self._free[: self._n_free]
         self._free = free
 
@@ -234,7 +237,9 @@ class LatencyReservoir:
         self.capacity = capacity
         self.count = 0
         self._filled = 0
-        self._sample = np.empty(capacity, dtype=np.int64)
+        # Zeroed for the same reason as PacketArena's columns: the
+        # unfilled tail is pickled.
+        self._sample = np.zeros(capacity, dtype=np.int64)
         self._rng = np.random.default_rng(self._SEED)
 
     @property

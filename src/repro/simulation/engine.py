@@ -72,6 +72,7 @@ from ..network.queueing import utilization as _utilization
 from ..routing import build_router
 from ..telemetry import NULL, SpanTracer, Telemetry, run_manifest
 from ..telemetry.trace import rss_mb
+from .links import RoundLinks
 from .metrics import RoundStats, SimulationResult
 from .state import NetworkState
 from .trace import TraceRecorder
@@ -351,15 +352,15 @@ class SimulationEngine:
             targets = np.full(senders.size, st.bs_index, dtype=np.int64)
         tel.lap("relay_choice")
         rows = self.buffers.peek(senders)
-        d = st.distances_many(senders, targets)
-        st.ledger.discharge_many(senders, st.radio.tx(bits, d), "tx")
+        tx, curve = st.links.price(senders, targets)
+        st.ledger.discharge_many(senders, tx, "tx")
         tel.lap("discharge")
         # Liveness snapshot after the tx charges: a target killed by
         # this slot's receptions still ACKs this slot's arrivals.
         to_bs = targets == st.bs_index
         target_alive = to_bs.copy()
         target_alive[~to_bs] = st.ledger.alive[targets[~to_bs]]
-        draws = st.channel.attempt_batch(d, senders, targets)
+        draws = st.channel.attempt_batch(senders=senders, targets=targets, curve=curve)
         arrived = draws & target_alive
         tel.lap("channel")
         # Every arrival at a non-BS target costs that target rx energy
@@ -863,6 +864,11 @@ class SimulationEngine:
             # count as having served an epoch.
             heads = self.faults.at_election(st, heads)
         st.mark_cluster_heads(heads)
+        # Every slot of the round prices the same node -> head/BS links:
+        # price them once (see repro.simulation.links).
+        st.links = RoundLinks(
+            st, heads, hop_by_hop=getattr(self.protocol, "hop_by_hop", False)
+        )
         is_head = np.zeros(st.n, dtype=bool)
         if heads.size:
             is_head[heads] = True
@@ -895,6 +901,7 @@ class SimulationEngine:
         self._uplink(heads, fused, bank, base_slot + slots, stats)
         tel.lap("uplink")
         self.protocol.on_round_end(st, heads)
+        st.links = RoundLinks(st)
 
         if self._first_death_round is None and st.ledger.any_dead:
             self._first_death_round = st.round_index + 1

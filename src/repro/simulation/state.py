@@ -14,6 +14,8 @@ choices).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..config import SimulationConfig
@@ -25,6 +27,7 @@ from ..network.channel import Channel, LinkEstimator
 from ..network.deployment import deploy
 from ..network.node import BaseStation, NodeArray
 from ..network.topology import Topology
+from .links import RoundLinks
 
 __all__ = ["NetworkState"]
 
@@ -105,6 +108,22 @@ class NetworkState:
         #: Per-node round index at which the node was last a cluster
         #: head; -inf means never (drives the rotating-epoch rule).
         self.last_ch_round = np.full(nodes.n, -np.inf)
+        #: This round's link table: the engine builds one after each
+        #: election and drops it at round end; outside a round it is
+        #: empty and every link is computed.  Never pickled.
+        self.links = RoundLinks(self)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("links", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned keys, as pickle's default restore makes them: keys
+        # shared with other pickled dicts then pickle as memo references
+        # again, so a resumed run's snapshots keep their bytes.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self.links = RoundLinks(self)
 
     # ------------------------------------------------------------------
     @property

@@ -9,11 +9,13 @@ the in-process resume identity.
 import dataclasses
 import json
 import pickle
+import sys
 
 import pytest
 
 from repro.analysis.sweep import PROTOCOLS
 from repro.checkpoint import (
+    CHECKPOINT_SCHEMA,
     CHECKPOINT_SUFFIX,
     CheckpointCorruptError,
     CheckpointError,
@@ -160,6 +162,47 @@ class TestSnapshotCost:
         assert all(type(rs.packets) is PacketCounts for rs in result.per_round)
         assert b"LatencyReservoir" not in pickle.dumps(result.per_round)
         assert result.packets.latency_sample.count == result.packets.delivered
+
+
+class TestLinkTable:
+    """The engine's per-round link table is derived state: it is dropped
+    at round end, so a round-boundary snapshot neither carries it nor
+    depends on whether it was built."""
+
+    def _snapshot(self, tmp_path, name):
+        engine = _engine(_config(rounds=6))
+        for _ in range(3):
+            engine.run_round()
+        path = tmp_path / f"{name}-r00000003{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        return path
+
+    def test_snapshot_carries_no_table_and_matches_table_off(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.simulation import links
+
+        with_table = self._snapshot(tmp_path, "on").read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(links, "TILE_BYTES", 0)
+            without = self._snapshot(tmp_path, "off").read_bytes()
+        assert with_table == without
+        assert b"RoundLinks" not in with_table
+        assert CHECKPOINT_SCHEMA == 4
+
+    def test_restore_and_finish_is_bit_identical(self, tmp_path):
+        expected = _engine(_config(rounds=6)).run()
+        path = self._snapshot(tmp_path, "run")
+        _, restored = read_checkpoint(path)
+        assert not restored.state.links.on
+        # Restored keys are interned, as pickle's default restore makes
+        # them, so the resumed run's snapshots pickle shared key strings
+        # as memo references, as before the state had a link table.
+        assert all(k is sys.intern(k) for k in restored.state.__dict__)
+        resumed = restored.run()
+        assert resumed.summary() == expected.summary()
+        assert _round_stats(resumed) == _round_stats(expected)
+        assert resumed.total_energy == expected.total_energy
 
 
 class TestBackendByName:

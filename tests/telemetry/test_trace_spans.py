@@ -21,11 +21,17 @@ from tests.conftest import make_config
 
 
 def _structure(tracer):
-    """Events minus wall-clock — the deterministic part."""
-    return [
-        {k: v for k, v in ev.items() if k not in ("ts", "dur")}
-        for ev in tracer.events
-    ]
+    """Events minus wall-clock and process measurements — the
+    deterministic part.  A ``mem/sample`` instant keeps its
+    ``resident_mb`` (a function of the seed) and drops its measured
+    ``rss_mb``, as ``deterministic_view`` strips ``prof/`` gauges."""
+    out = []
+    for ev in tracer.events:
+        ev = {k: v for k, v in ev.items() if k not in ("ts", "dur")}
+        if ev["name"] == "mem/sample":
+            ev["args"] = {k: v for k, v in ev["args"].items() if k != "rss_mb"}
+        out.append(ev)
+    return out
 
 
 class TestSpanMechanics:
