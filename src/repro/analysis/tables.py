@@ -123,8 +123,8 @@ def render_telemetry(
     Three blocks: wall-clock per pipeline phase (with its share of the
     attributed time and the coverage of measured round time), energy by
     radio category, and packets by terminal outcome — the where-does-
-    time/energy/loss-go view the sharding and compiled-backend roadmap
-    items need.
+    time/energy/loss-go view the sharding and kernel roadmap items
+    need.
 
     Tolerant of unknown metric names and shapes by design: snapshots
     merged from newer producers must still render (never ``KeyError``).

@@ -225,8 +225,13 @@ class KMeansProtocol(ClusteringProtocol):
         heads = np.asarray(heads, dtype=np.intp)
         if self._home_head is None:
             return state.links.nearest_heads(senders, heads)
+        # A home head serves when it is alive and still a head: one
+        # O(N) scatter of ``heads`` (the election's, or the set recovery
+        # masked), then one gather, instead of a set test per sender.
+        serving = np.zeros_like(state.ledger.alive)
+        serving[heads] = state.ledger.alive[heads]
         home = self._home_head[senders]
-        home_ok = state.ledger.alive[home] & np.isin(home, heads)
+        home_ok = serving[home]
         # Static scheme strands members of dead heads at the BS;
         # adaptive reclustering reassigns them to the nearest head.
         fallback = (

@@ -33,11 +33,10 @@ traffic source and fault injector, the channel's telemetry binding,
 the registry's phase-timer cache, the span sink shared by the
 instrument handle, kernel wrapper and fault injector) are preserved by
 the pickle memo; derived geometry (``Topology``'s node->BS distances)
-is recomputed on load by the same call that built it; and kernel
-backends reduce to their registry name and are
-re-resolved through ``get_backend`` on load — compiled
-backends are never serialized, and the registry's bit-identical
-contract makes the swap invisible.  The payload is written and read by
+is recomputed on load by the same call that built it; and the kernel
+backend reduces to its name and is re-resolved through
+``get_backend`` on load (a name this build lacks raises
+``BackendUnavailableError``).  The payload is written and read by
 the plain (C) pickler, and its size and write time depend on the
 engine's state, not on how many rounds it has run.
 ``scripts/check_checkpoint_equivalence.py`` enforces the guarantee

@@ -33,8 +33,7 @@ def _version_text() -> str:
     from .kernels import backend_versions
 
     deps = ", ".join(
-        f"{name} {ver if ver is not None else 'absent'}"
-        for name, ver in sorted(backend_versions().items())
+        f"{name} {ver}" for name, ver in sorted(backend_versions().items())
     )
     return f"repro {__version__} ({deps})"
 
@@ -53,20 +52,18 @@ class _VersionAction(argparse.Action):
 
 
 def _add_backend_arg(cmd: argparse.ArgumentParser) -> None:
-    from .config import EQUIVALENCE_CHOICES
+    from .config import BACKEND_CHOICES, EQUIVALENCE_CHOICES
 
     cmd.add_argument(
         "--backend", type=str, default="auto",
-        choices=("auto", "numpy", "numba"),
-        help="kernel backend for the batched slot pipeline; 'auto' "
-             "prefers the compiled backend and falls back to the numpy "
-             "reference (bit-identical either way)",
+        choices=BACKEND_CHOICES,
+        help="kernel backend for the batched slot pipeline; both "
+             "choices run the numpy reference",
     )
     cmd.add_argument(
         "--equivalence", type=str, default="bitwise",
         choices=EQUIVALENCE_CHOICES,
-        help="numeric contract; 'bitwise' (the only one) guarantees "
-             "bit-identical results across backends",
+        help="numeric contract; 'bitwise' is the only one",
     )
     cmd.add_argument(
         "--max-block-mb", type=_positive_float, default=None, metavar="MB",
@@ -220,11 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "a static shard's leases never expire unless "
                           "this is given)")
     swp.add_argument("--compress", type=str, default=None,
-                     choices=("auto", "none", "gz", "zst"), metavar="CODEC",
-                     help="artifact compression (auto/none/gz/zst); 'auto' "
-                          "prefers zstd and degrades to gzip, an explicit "
-                          "'zst' without the zstandard package fails; "
-                          "default keeps an existing artifact's codec")
+                     choices=("none", "gz"), metavar="CODEC",
+                     help="artifact compression (none/gz); default keeps "
+                          "an existing artifact's codec")
     _add_backend_arg(swp)
     _add_faults_arg(swp)
     _add_routing_arg(swp)
@@ -628,7 +623,7 @@ def _cmd_sweep(args) -> int:
         run_scheduled,
         run_shard,
     )
-    from .telemetry.jsonl import compression_suffix, resolve_compression
+    from .telemetry.jsonl import compression_suffix
 
     shard, num_shards = parse_shard_arg(args.shard)
     if args.scheduler and (shard, num_shards) != (1, 1):
@@ -652,11 +647,7 @@ def _cmd_sweep(args) -> int:
         routing=args.routing,
         overrides=_parse_overrides(args.set),
     )
-    suffix = (
-        compression_suffix(resolve_compression(args.compress))
-        if args.compress
-        else ""
-    )
+    suffix = compression_suffix(args.compress or "none")
     name = "scheduled" if args.scheduler else f"shard-{shard}of{num_shards}"
     out = args.out or f"sweep-{name}.jsonl{suffix}"
     with drain_on_signals() as stop:
@@ -809,19 +800,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     from .checkpoint import CheckpointError
     from .kernels import BackendUnavailableError
-    from .telemetry.jsonl import CompressionUnavailableError
+    from .telemetry.jsonl import UnsupportedCodecError
 
     try:
         return _COMMANDS[args.command](args)
     except (
         BackendUnavailableError,
-        CompressionUnavailableError,
+        UnsupportedCodecError,
         CheckpointError,
     ) as exc:
-        # An explicitly requested backend or codec the host cannot
-        # provide, or a snapshot that fails validation (corrupt, wrong
-        # config, wrong version), is a usage error, not a crash: say
-        # what is wrong and how to proceed, exit distinctly.
+        # A backend this build does not have (named by an old
+        # snapshot), an artifact in a codec it cannot read, or a
+        # snapshot that fails validation (corrupt, wrong config, wrong
+        # version) is a usage error, not a crash: say what is wrong and
+        # how to proceed, exit distinctly.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ if typing.TYPE_CHECKING:  # imported lazily to keep config dependency-free
     from .network.mobility import MobilityConfig
 
 __all__ = [
+    "BACKEND_CHOICES",
     "EQUIVALENCE_CHOICES",
     "ROUTING_CHOICES",
     "RadioConfig",
@@ -42,8 +43,12 @@ __all__ = [
     "paper_config",
 ]
 
+#: Kernel backend selectors a run may name: ``auto`` resolves to the
+#: numpy reference, the one backend (:mod:`repro.kernels.registry`).
+BACKEND_CHOICES = ("auto", "numpy")
+
 #: Numeric contracts a run may declare.  ``bitwise`` is the only one:
-#: every backend reproduces the numpy reference bit for bit.
+#: the kernels reproduce the scalar reference path bit for bit.
 EQUIVALENCE_CHOICES = ("bitwise",)
 
 #: Multi-hop routing substrates for the cluster-head uplink
@@ -350,13 +355,10 @@ class SimulationConfig:
     #: (its service ratio is effectively broadcast); False keeps the
     #: classical private per-pair estimate.
     estimator_shared: bool = True
-    #: Kernel backend selector for the batched slot pipeline: "auto"
-    #: (numba when installed, else the numpy reference), "numpy",
-    #: "numba", or any name registered via
-    #: :func:`repro.kernels.register_backend`.  Every backend is
-    #: bit-identical by contract, so this changes wall-clock only —
-    #: but the *resolved* name is part of run identity (manifests,
-    #: sharding cell IDs) and therefore of the config fingerprint.
+    #: Kernel backend selector (:data:`BACKEND_CHOICES`); both resolve
+    #: to the numpy reference.  The selector as written enters the
+    #: config fingerprint, so ``"auto"`` stays the default: changing it
+    #: would move every fingerprint and sweep cell ID.
     backend: str = "auto"
     #: Numeric contract (see :data:`EQUIVALENCE_CHOICES`); only
     #: ``bitwise``.  Kept because the benchmark harness sets it, and
@@ -395,10 +397,11 @@ class SimulationConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        # Free-form beyond the built-ins so registered third-party
-        # backends work; resolution validates against the registry.
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("backend must be a non-empty selector string")
+        if self.backend not in BACKEND_CHOICES:
+            raise ValueError(
+                f"backend must be one of {BACKEND_CHOICES}, "
+                f"got {self.backend!r}"
+            )
         if self.equivalence not in EQUIVALENCE_CHOICES:
             raise ValueError(
                 f"equivalence must be one of {EQUIVALENCE_CHOICES}, "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import KernelBackend, default_backend
+from ..kernels import KernelBackend, get_backend
 
 __all__ = ["EnergyLedger"]
 
@@ -78,7 +78,7 @@ class EnergyLedger:
         self._residual = initial.copy()
         self._death_line = float(death_line)
         self._alive = np.ones(initial.size, dtype=bool)
-        self.kernels = kernels if kernels is not None else default_backend()
+        self.kernels = kernels if kernels is not None else get_backend("numpy")
         #: Cumulative spend per consumption category, for reporting.
         self.spent_tx = 0.0
         self.spent_rx = 0.0

@@ -24,7 +24,7 @@ from ..baselines import (
     KMeansProtocol,
     LEACHProtocol,
 )
-from ..baselines.base import ClusteringProtocol
+from ..baselines.base import ClusteringProtocol, NearestHeadRelayMixin
 from ..config import paper_config
 from ..core import QLECProtocol, SelectionConfig
 from ..simulation import run_simulation
@@ -32,9 +32,11 @@ from ..simulation import run_simulation
 __all__ = ["AblationRow", "ABLATION_VARIANTS", "run_ablation", "render_ablation"]
 
 
-class _NearestJoinQLEC(QLECProtocol):
+class _NearestJoinQLEC(NearestHeadRelayMixin, QLECProtocol):
     """QLEC's head selection but members simply join the nearest head
-    (ablates the whole Q-learning transmission phase)."""
+    (ablates the whole Q-learning transmission phase).  The mixin comes
+    first so the batched ``choose_relays`` joins the nearest head too,
+    not only the scalar ``choose_relay``."""
 
     name = "qlec/no-qlearning"
 

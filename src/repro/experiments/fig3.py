@@ -54,7 +54,7 @@ class Fig3Config:
     #: Instrument every cell and keep the merged metric snapshot on
     #: ``Fig3Result.telemetry``.
     telemetry: bool = False
-    #: Kernel-backend selector for every cell (``auto``/``numpy``/...).
+    #: Kernel-backend selector for every cell (``auto``/``numpy``).
     backend: str = "auto"
     #: Optional distance-block memory budget in MiB (large-N runs).
     max_block_mb: float | None = None

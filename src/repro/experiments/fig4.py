@@ -58,8 +58,7 @@ class Fig4Config:
     #: Baselines to run on the identical network for the relative
     #: evenness comparison ("qlec" always runs).
     compare: tuple[str, ...] = ()
-    #: Kernel-backend selector (``auto``/``numpy``/...); the large grid
-    #: is where a compiled backend pays off most.
+    #: Kernel-backend selector (``auto``/``numpy``).
     backend: str = "auto"
     #: Optional distance-block memory budget in MiB.
     max_block_mb: float | None = None

@@ -1,18 +1,22 @@
-"""Kernel backend contract for the batched slot pipeline.
+"""Kernel contract for the batched slot pipeline.
 
 A :class:`KernelBackend` implements the numeric inner loops of the
 batched data path — the fixed op sequence PR 1 reduced each slot to
 (``choose_relays → attempt_batch → discharge_many → update_batch``)
-plus the Q-combine behind relay scoring.  The engine resolves one
-backend per run and threads it through the substrates; protocols and
-the engine itself never branch on the backend.
+plus the Q-combine behind relay scoring.  The numpy reference
+(:class:`~repro.kernels.numpy_backend.NumpyBackend`) is the one
+implementation; :class:`~repro.kernels.profiling.ProfiledBackend`
+wraps it to count and time calls.  The engine resolves one backend per
+run and threads it through the substrates; protocols and the engine
+itself never branch on the backend.
 
-Bit-equivalence (load-bearing — read before adding a backend)
---------------------------------------------------------------
-Every backend MUST be bit-identical to the numpy reference on every
-method, for all inputs the substrates produce.  The golden traces and
-the scalar/batched equivalence suite enforce this end-to-end; the
-property suite in ``tests/kernels`` enforces it per kernel.
+Bit-equivalence (load-bearing)
+------------------------------
+The kernels must be bit-identical to the scalar reference path and to
+the golden traces, for all inputs the substrates produce.  The golden
+traces and the scalar/batched equivalence suite enforce this
+end-to-end; the property suite in ``tests/kernels`` enforces it per
+kernel.
 
 Three rules make that achievable at all:
 
@@ -20,7 +24,7 @@ Three rules make that achievable at all:
    comparisons, min/max and integer ops are correctly rounded and give
    the same bits everywhere.  Transcendentals do not: numpy's
    vectorized ``pow``/``exp``/``log`` differ from libm (and hence from
-   any jitted ``math.*`` call) in the last ulp.  Kernels therefore take
+   a scalar ``math.*`` call) in the last ulp.  Kernels therefore take
    transcendental quantities as *precomputed inputs* (the delivery
    probability's exp/log, the radio's ``d**4`` cost, the EWMA decay
    powers via ``pow_table``) — computed once by shared numpy code.
@@ -35,9 +39,8 @@ Three rules make that achievable at all:
    length-3 reduction, which the golden traces were recorded with, and
    ``tests/kernels/test_euclidean.py`` pins the two equal).  Reducers
    that reassociate (``ndarray.sum`` is pairwise) stay out of kernels.
-3. **Strict IEEE, no FMA contraction.**  Compiled backends must keep
-   strict IEEE semantics (numba's default); a fused multiply-add
-   changes the rounding of ``a*b + c`` and breaks rule 1.
+3. **Strict IEEE, no FMA contraction.**  A fused multiply-add changes
+   the rounding of ``a*b + c`` and breaks rule 1.
 
 Mutating kernels (``grouped_discharge``, the EWMA folds) write through
 the arrays they are handed; the substrates own those arrays and pass
@@ -130,7 +133,7 @@ class KernelBackend(abc.ABC):
     that mutate do so in place and document it.
     """
 
-    #: Registry name ("numpy", "numba", ...); never "auto".
+    #: Backend name ("numpy"); never "auto".
     name: ClassVar[str] = ""
 
     # -- geometry ------------------------------------------------------
@@ -173,12 +176,6 @@ class KernelBackend(abc.ABC):
             stop = min(start + rows, n)
             out[start:stop] = self.distance_block(src[start:stop], dst)
         return out
-
-    @abc.abstractmethod
-    def distance_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Elementwise link lengths ``|src[i] - dst[i]|`` for matched
-        position arrays of shape ``(n, 3)``, each :func:`euclidean` of
-        its pair."""
 
     # -- channel -------------------------------------------------------
     @abc.abstractmethod
@@ -233,8 +230,8 @@ class KernelBackend(abc.ABC):
 
         applied in input order (stable grouping), then clipped to
         ``[0, 1]``.  ``pow_table[k]`` holds ``(1-a)^k`` precomputed by
-        numpy (sized at least ``max-group-count + 1``), so compiled
-        backends never evaluate ``pow`` themselves.  Mutates ``row``.
+        numpy (sized at least ``max-group-count + 1``), so the kernel
+        never evaluates ``pow`` itself.  Mutates ``row``.
         """
 
     @abc.abstractmethod
@@ -297,13 +294,13 @@ class KernelBackend(abc.ABC):
         """
 
     def __reduce__(self):
-        """Pickle by registry identity, not by value.
+        """Pickle by name, not by value.
 
-        Backends are process-local singletons with a bit-identical
-        contract, so the name is all a pickle needs; the
-        unpickling process resolves it through :func:`get_backend`
-        (raising :class:`BackendUnavailableError` where the backend
-        cannot run), and compiled kernel tables are never serialized.
+        A backend is a stateless process-local singleton, so the name
+        is all a pickle needs; the unpickling process resolves it
+        through :func:`get_backend` (raising
+        :class:`BackendUnavailableError` for a name this build cannot
+        run).
         """
         from .registry import get_backend
 

@@ -3,7 +3,7 @@
 This is the code that *defines* correct behaviour: every method keeps
 the per-element expression trees of the batched substrate code the
 golden traces pin, behind the :class:`~repro.kernels.base.KernelBackend`
-contract.  Other backends are validated against it bit for bit.
+contract.
 
 The grouped kernels run at N = 100 on arrays of 10-30 elements, where
 fixed per-call cost is the whole cost, so they group with one argsort
@@ -30,9 +30,6 @@ class NumpyBackend(KernelBackend):
     # -- geometry ------------------------------------------------------
     def distance_block(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return euclidean(src[:, None, :], dst[None, :, :])
-
-    def distance_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        return euclidean(src, dst)
 
     # -- channel -------------------------------------------------------
     def bernoulli(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -111,14 +111,6 @@ class ProfiledBackend(KernelBackend):
         self._record("distance_block", t0, n * m, 8 * (n * m + 3 * (n + m)))
         return out
 
-    def distance_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        t0 = perf_counter()
-        out = self.inner.distance_pairs(src, dst)
-        n = src.shape[0]
-        # Two (n, 3) inputs + (n,) output, float64.
-        self._record("distance_pairs", t0, n, 8 * 7 * n)
-        return out
-
     # -- channel -------------------------------------------------------
     def bernoulli(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         t0 = perf_counter()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..energy.radio import FirstOrderRadio
-from ..kernels import KernelBackend, default_backend
+from ..kernels import KernelBackend, get_backend
 
 __all__ = ["delivery_probability", "Channel", "LinkEstimator"]
 
@@ -95,11 +95,11 @@ class LinkEstimator:
         if not 0.0 <= initial <= 1.0:
             raise ValueError("initial must lie in [0, 1]")
         self.alpha = alpha
-        self.kernels = kernels if kernels is not None else default_backend()
+        self.kernels = kernels if kernels is not None else get_backend("numpy")
         #: Cached decay powers ``(1-a)^k`` for the batched fold, grown
         #: on demand; built with numpy's ``power`` on integer exponents
-        #: so ``_pow_table[k] == (1-a)**k`` bitwise (the table is what
-        #: compiled backends read instead of calling ``pow``).
+        #: so ``_pow_table[k] == (1-a)**k`` bitwise (the fold kernel
+        #: reads the table instead of calling ``pow``).
         self._pow_table = np.power(1.0 - alpha, np.arange(1))
         #: When True, an ACK outcome updates every sender's estimate of
         #: that target (the target's service ratio is effectively
@@ -239,7 +239,7 @@ class Channel:
         self.rng = rng
         self.floor = floor
         self.sharpness = sharpness
-        self.kernels = kernels if kernels is not None else default_backend()
+        self.kernels = kernels if kernels is not None else get_backend("numpy")
         #: Failure-injection switch: when True every transmission fails
         #: (driven by ``repro.faults`` blackout windows; never enabled
         #: in the paper's experiments).

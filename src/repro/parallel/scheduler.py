@@ -40,7 +40,7 @@ Two layers:
   chaos-killed fleet heals itself.  Rows stream into the artifact as
   they are accepted (the shard JSONL schema, under the reserved
   ``shard 0/0`` whole-grid marker or a static shard's ``k/K``,
-  optionally zstd/gzip compressed), so ``merge_artifacts`` and
+  optionally gzip compressed), so ``merge_artifacts`` and
   ``repro merge`` consume it unchanged.
 
 Scheduler *events* (lease grants, steals, reclaims, requeues, worker
@@ -692,7 +692,7 @@ def run_scheduled(
     artifact is the shard JSONL schema, so ``merge_artifacts`` /
     ``repro merge`` / ``repro fig3 --from-artifacts`` consume it
     unchanged; ``compression`` selects the codec
-    (``auto``/``none``/``gz``/``zst``; ``None`` keeps an existing
+    (``none``/``gz``; ``None`` keeps an existing
     artifact's).  Rows stream out as results are accepted — a crash
     loses at most in-flight cells and a resume reuses the rest; a
     complete artifact is left byte-untouched.

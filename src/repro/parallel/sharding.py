@@ -151,11 +151,11 @@ class SweepSpec:
     #: Instrument every cell (snapshots ride in the artifact rows).
     #: Execution detail, not identity: it hashes into no cell ID.
     telemetry: bool = False
-    #: Kernel-backend selector for every cell.  The payload (and hence
-    #: the spec fingerprint) keeps the selector as written — the user's
-    #: intent — while each cell's config carries the *resolved* name, so
-    #: ``"auto"`` specs resumed on hosts that resolve differently
-    #: recompute rather than reuse foreign-backend rows.
+    #: Kernel-backend selector for every cell
+    #: (:data:`repro.config.BACKEND_CHOICES`).  The payload (and hence
+    #: the spec fingerprint) keeps the selector as written, while each
+    #: cell's config carries the *resolved* name, so rows an artifact
+    #: recorded under another backend never match a cell here.
     backend: str = "auto"
     #: Optional chaos overlay: the name of a fault scenario from
     #: :data:`repro.faults.FAULT_SCENARIOS`, materialised against each
@@ -193,10 +193,13 @@ class SweepSpec:
         )
         if not (self.protocols and self.lambdas and self.seeds):
             raise ValueError("sweep spec needs >= 1 protocol, lambda, and seed")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("backend must be a non-empty selector string")
-        from ..config import ROUTING_CHOICES
+        from ..config import BACKEND_CHOICES, ROUTING_CHOICES
 
+        if self.backend not in BACKEND_CHOICES:
+            raise ValueError(
+                f"backend must be one of {BACKEND_CHOICES}, "
+                f"got {self.backend!r}"
+            )
         if self.max_block_mb is not None and self.max_block_mb <= 0.0:
             raise ValueError("max_block_mb must be positive when given")
         if self.routing not in ROUTING_CHOICES:
@@ -245,8 +248,8 @@ class SweepSpec:
 
     # -- enumeration ---------------------------------------------------
     def resolved_backend(self) -> str:
-        """The concrete backend name this host would run the cells on
-        (``"auto"`` resolved by availability; never ``"auto"`` itself)."""
+        """The concrete backend name the cells run on (never
+        ``"auto"``)."""
         from ..kernels import resolve_backend_name
 
         return resolve_backend_name(self.backend)
@@ -541,8 +544,7 @@ def _dump(record: dict) -> str:
 def artifact_compression(out_path, compression: str | None) -> str:
     """Resolve the codec one artifact (re)write should use.
 
-    An explicit selector wins (``"auto"`` resolved by availability);
-    ``None`` keeps whatever an existing artifact already uses — sniffed
+    An explicit selector wins; ``None`` keeps whatever an existing artifact already uses — sniffed
     from its magic bytes, or from the path suffix for a fresh file —
     so a resumed compressed artifact stays compressed without the
     caller restating the choice.
@@ -662,9 +664,9 @@ def load_artifact(path) -> ShardArtifact:
     """Parse a shard artifact, tolerating a torn final line.
 
     Goes through the shared tolerant reader
-    (:func:`repro.telemetry.jsonl.read_jsonl_tolerant`), so plain,
-    gzip-, and zstd-compressed artifacts all load transparently (codec
-    sniffed from magic bytes) and a crash mid-append — a partial
+    (:func:`repro.telemetry.jsonl.read_jsonl_tolerant`), so plain and
+    gzip artifacts both load transparently (codec sniffed from magic
+    bytes) and a crash mid-append — a partial
     trailing line, or a truncated compressed tail — costs at most the
     final record: the cell it would have recorded is simply recomputed
     on resume.  Any other malformed line is an error.

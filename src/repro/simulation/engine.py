@@ -55,12 +55,11 @@ from ..checkpoint import CheckpointWriter, DrainInterrupted
 from ..config import SimulationConfig
 from ..energy.harvesting import build_harvester
 from ..faults import NULL_INJECTOR, PlanInjector
-# resolve_backend builds a backend on an engine's first construction;
-# this module loads both built-in ones, so no import happens in a run.
+# resolve_backend builds the backend on an engine's first construction;
+# this module loads it, so no import happens in a run.
 from ..kernels import (
     KernelBackend,
     ProfiledBackend,
-    numba_backend,  # noqa: F401
     numpy_backend,  # noqa: F401
     resolve_backend,
 )
@@ -120,11 +119,10 @@ class SimulationEngine:
         bit-identical results.
     backend:
         Kernel backend selector for the batched array stages — a name
-        (``"auto"``/``"numpy"``/``"numba"`` or any registered backend)
-        or an already-resolved :class:`~repro.kernels.KernelBackend`.
-        ``None`` (default) defers to ``config.backend``.  Backends are
-        bit-identical by contract; the resolved name is recorded in the
-        run manifest.
+        (``"auto"``/``"numpy"``) or an already-resolved
+        :class:`~repro.kernels.KernelBackend`.  ``None`` (default)
+        defers to ``config.backend``.  The resolved name is recorded in
+        the run manifest.
     telemetry:
         An optional :class:`~repro.telemetry.Telemetry` handle, the
         engine's one instrument (held as :attr:`telemetry`).  Its lap

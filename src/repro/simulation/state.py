@@ -21,7 +21,7 @@ import numpy as np
 from ..config import SimulationConfig
 from ..energy.battery import EnergyLedger
 from ..energy.radio import FirstOrderRadio
-from ..kernels import KernelBackend, default_backend
+from ..kernels import KernelBackend, get_backend
 from ..kernels.base import euclidean, euclidean_columns
 from ..network.channel import Channel, LinkEstimator
 from ..network.deployment import deploy
@@ -64,7 +64,7 @@ class NetworkState:
         kernels: KernelBackend | None = None,
     ) -> None:
         self.config = config
-        self.kernels = kernels if kernels is not None else default_backend()
+        self.kernels = kernels if kernels is not None else get_backend("numpy")
         master = rng if rng is not None else np.random.default_rng(config.seed)
         # Independent child streams: deployment, traffic, channel,
         # protocol, engine-internal tie-breaking, mobility, harvesting,

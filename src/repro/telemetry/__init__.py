@@ -1,9 +1,9 @@
 """Telemetry: phase timers, mergeable counters, self-describing runs.
 
-The instrumentation layer behind the sweep-sharding and compiled-
-backend roadmap items: before fanning cells across processes or
-swapping kernels, we need to know where time, energy, and packets go —
-per phase of the slot pipeline and per worker of the pool.
+The instrumentation layer behind the sweep-sharding and kernel
+roadmap items: before fanning cells across processes or changing
+kernels, we need to know where time, energy, and packets go — per
+phase of the slot pipeline and per worker of the pool.
 
 Three pieces:
 
@@ -20,8 +20,8 @@ Three pieces:
 * :mod:`~repro.telemetry.manifest` — config fingerprints and the
   run-manifest header that makes trace files self-describing;
 * :mod:`~repro.telemetry.jsonl` — the shared torn-tail-tolerant JSONL
-  reader, the atomic text writer, and the optional gzip/zstd
-  compression codecs every artifact writer and reader goes through.
+  reader, the atomic text writer, and the gzip codec every artifact
+  writer and reader goes through.
 
 See ``docs/observability.md`` for the metric-name taxonomy and the
 trace JSONL schema.
@@ -32,8 +32,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".jsonl": (
         "COMPRESSION_CHOICES",
-        "CompressionUnavailableError",
         "JsonlWriter",
+        "UnsupportedCodecError",
         "atomic_write_text",
         "detect_compression",
         "read_jsonl_tolerant",

@@ -16,7 +16,6 @@ from repro.config import (
     SimulationConfig,
     TrafficConfig,
 )
-from repro.kernels import registry
 from repro.simulation.state import NetworkState
 
 
@@ -57,28 +56,3 @@ def small_state(small_config) -> NetworkState:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def clean_registry():
-    """Snapshot and restore the kernel backend registry around a test.
-
-    Tests that register throwaway backends or monkeypatch capability
-    probes must leave the process-wide registry exactly as they found
-    it, or later tests (and the engine's ``auto`` resolution) would see
-    phantom backends.
-    """
-    factories = dict(registry._FACTORIES)
-    probes = dict(registry._PROBES)
-    instances = dict(registry._INSTANCES)
-    warned = registry._warned_fallback
-    try:
-        yield registry
-    finally:
-        registry._FACTORIES.clear()
-        registry._FACTORIES.update(factories)
-        registry._PROBES.clear()
-        registry._PROBES.update(probes)
-        registry._INSTANCES.clear()
-        registry._INSTANCES.update(instances)
-        registry._warned_fallback = warned

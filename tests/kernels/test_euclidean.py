@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import available_backends, backend_names, get_backend
+from repro.kernels import get_backend
 from repro.kernels.base import euclidean
 
 #: Per-axis coordinate magnitudes; mixing them across axes is what makes
@@ -69,19 +69,13 @@ class TestPinnedToEinsum:
             bk.distance_block(src, dst).tobytes()
             == euclidean(src[:, None, :], dst[None, :, :]).tobytes()
         )
-        assert (
-            bk.distance_pairs(src[:4], dst).tobytes()
-            == euclidean(src[:4], dst).tobytes()
-        )
 
 
-@pytest.mark.parametrize("name", backend_names())
+@pytest.mark.parametrize("name", ["numpy"])
 @pytest.mark.parametrize("shared_cost", [False, True])
 def test_expected_q_stride0_p_equals_materialised(name, shared_cost):
     """The shared link estimator hands ``expected_q`` a stride-0 view of
-    one row; every backend must score it exactly like the copied block."""
-    if name not in available_backends():
-        pytest.skip(f"backend {name!r} is not installed")
+    one row; the kernel must score it exactly like the copied block."""
     bk = get_backend(name)
     rng = np.random.default_rng(11)
     n, m = 13, 6

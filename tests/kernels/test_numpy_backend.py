@@ -1,7 +1,7 @@
 """Unit tests of the numpy reference kernels against inline oracles.
 
-The reference backend *defines* correct behaviour for every other
-backend, so these tests pin it against independent formulations:
+The reference backend *defines* correct behaviour, so these tests pin
+it against independent formulations:
 sequential scalar loops for the grouped kernels, direct numpy
 composition for the Q combine, and the ufunc identity behind the
 precomputed decay table.
@@ -10,6 +10,7 @@ precomputed decay table.
 import numpy as np
 
 from repro.kernels import NumpyBackend
+from repro.kernels.base import euclidean
 
 BK = NumpyBackend()
 RNG = np.random.default_rng(1234)
@@ -24,21 +25,13 @@ class TestGeometry:
         assert got.shape == (7, 5)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_distance_pairs_matches_norm(self):
-        src = RNG.uniform(0, 200, (9, 3))
-        dst = RNG.uniform(0, 200, (9, 3))
-        got = BK.distance_pairs(src, dst)
-        np.testing.assert_allclose(
-            got, np.linalg.norm(src - dst, axis=1), rtol=1e-12
-        )
-
     def test_distance_block_row_equals_pairs(self):
-        """The block and pair kernels are both ``euclidean``, so a
-        one-row block equals the pairwise call bitwise."""
+        """The block kernel is ``euclidean``, so a one-row block equals
+        the pairwise ``euclidean`` bitwise."""
         src = RNG.uniform(0, 200, (1, 3))
         dst = RNG.uniform(0, 200, (6, 3))
         block = BK.distance_block(src, dst)[0]
-        pairs = BK.distance_pairs(np.broadcast_to(src, (6, 3)).copy(), dst)
+        pairs = euclidean(np.broadcast_to(src, (6, 3)).copy(), dst)
         np.testing.assert_array_equal(block, pairs)
 
 

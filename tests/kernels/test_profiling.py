@@ -49,12 +49,6 @@ class TestDelegation:
         # count — not one per internal chunk.
         assert snap["prof/kernels/distance_block/calls"]["value"] == 1
 
-    def test_distance_pairs(self, bare, profiled):
-        src, dst = RNG.random((6, 3)), RNG.random((6, 3))
-        np.testing.assert_array_equal(
-            profiled.distance_pairs(src, dst), bare.distance_pairs(src, dst)
-        )
-
     def test_bernoulli(self, bare, profiled):
         p, u = RNG.random(20), RNG.random(20)
         np.testing.assert_array_equal(
@@ -96,9 +90,9 @@ class TestCounters:
     def test_tracer_records_kernel_spans(self, bare):
         trc = SpanTracer()
         profiled = ProfiledBackend(bare, tracer=trc)
-        profiled.distance_pairs(RNG.random((4, 3)), RNG.random((4, 3)))
+        profiled.bernoulli(RNG.random(4), RNG.random(4))
         kernel = next(ev for ev in trc.events if ev["cat"] == "kernel")
-        assert kernel["name"] == "distance_pairs"
+        assert kernel["name"] == "bernoulli"
         assert kernel["args"]["elements"] == 4
 
 

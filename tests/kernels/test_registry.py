@@ -1,85 +1,52 @@
-"""Registry semantics: registration, lookup, resolution, versions."""
+"""Backend selection: lookup, resolution, versions."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.kernels import (
     BACKEND_CHOICES,
+    BackendUnavailableError,
     KernelBackend,
     NumpyBackend,
-    available_backends,
-    backend_available,
-    backend_names,
     backend_versions,
-    default_backend,
     get_backend,
-    register_backend,
     resolve_backend,
     resolve_backend_name,
 )
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 
 class TestLookup:
-    def test_builtin_backends_registered(self):
-        names = backend_names()
-        assert "numpy" in names
-        assert "numba" in names
-
     def test_choices_cover_builtins_plus_auto(self):
-        assert BACKEND_CHOICES == ("auto", "numpy", "numba")
-
-    def test_numpy_always_available(self):
-        assert backend_available("numpy")
-        assert "numpy" in available_backends()
-
-    def test_unknown_name_unavailable_not_error(self):
-        assert not backend_available("tpu")
+        assert BACKEND_CHOICES == ("auto", "numpy")
 
     def test_get_backend_is_singleton(self):
         assert get_backend("numpy") is get_backend("numpy")
-        assert default_backend() is get_backend("numpy")
+        assert isinstance(get_backend("numpy"), NumpyBackend)
 
-    def test_get_backend_unknown_raises_keyerror(self):
-        with pytest.raises(KeyError, match="unknown kernel backend 'tpu'"):
+    def test_get_backend_unknown_raises_unavailable(self):
+        with pytest.raises(BackendUnavailableError, match="'tpu'"):
             get_backend("tpu")
 
+    def test_explicit_numba_fails_loudly(self):
+        """A selector naming the removed numba backend (an old spec,
+        snapshot or script) is refused, with the remedy named."""
+        with pytest.raises(BackendUnavailableError, match="numba"):
+            get_backend("numba")
+        with pytest.raises(BackendUnavailableError, match="--backend numpy"):
+            resolve_backend("numba")
 
-class TestRegistration:
-    def test_register_and_resolve_custom_backend(self, clean_registry):
-        class EchoBackend(NumpyBackend):
-            name = "echo"
-
-        register_backend("echo", EchoBackend, probe=lambda: True)
-        assert "echo" in backend_names()
-        assert backend_available("echo")
-        assert isinstance(get_backend("echo"), EchoBackend)
-        assert resolve_backend_name("echo") == "echo"
-        assert resolve_backend("echo").name == "echo"
-
-    def test_register_rejects_auto_and_empty(self, clean_registry):
-        with pytest.raises(ValueError):
-            register_backend("auto", NumpyBackend)
-        with pytest.raises(ValueError):
-            register_backend("", NumpyBackend)
-
-    def test_duplicate_requires_override(self, clean_registry):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
-        register_backend("numpy", NumpyBackend, override=True)
-        assert get_backend("numpy").name == "numpy"
-
-    def test_probeless_backend_probed_by_construction(self, clean_registry):
-        class Broken(NumpyBackend):
-            name = "broken"
-
-            def __init__(self):
-                from repro.kernels import BackendUnavailableError
-
-                raise BackendUnavailableError("nope")
-
-        register_backend("broken", Broken)
-        assert not backend_available("broken")
-        assert "broken" not in available_backends()
+    def test_backend_pickles_as_its_name(self):
+        bk = get_backend("numpy")
+        assert bk.__reduce__() == (get_backend, ("numpy",))
+        assert pickle.loads(pickle.dumps(bk)) is bk
 
 
 class TestResolution:
@@ -95,31 +62,43 @@ class TestResolution:
             resolve_backend_name(42)
 
     def test_resolved_name_never_auto(self):
-        assert resolve_backend_name("auto") in ("numpy", "numba")
+        assert resolve_backend_name("auto") == "numpy"
 
     def test_name_resolution_matches_instance_resolution(self):
-        assert (
-            resolve_backend("auto", warn_fallback=False).name
-            == resolve_backend_name("auto")
-        )
+        assert resolve_backend("auto").name == resolve_backend_name("auto")
+        assert resolve_backend("auto") is get_backend("numpy")
 
     def test_unknown_selector_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(BackendUnavailableError):
             resolve_backend_name("tpu")
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="equivalence"):
             resolve_backend("numpy", equivalence="statistical")
 
+    def test_engine_auto_builds_without_a_warning(self):
+        """``auto`` resolves to numpy silently: an engine built from
+        the default config under ``-W error::RuntimeWarning`` runs in a
+        fresh process (no earlier test can have spent a warning)."""
+        code = (
+            "from repro.config import paper_config\n"
+            "from repro.core import QLECProtocol\n"
+            "from repro.simulation.engine import SimulationEngine\n"
+            "engine = SimulationEngine(paper_config(rounds=1), QLECProtocol())\n"
+            "assert engine.kernels.name == 'numpy'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
 
 class TestVersions:
     def test_numpy_version_recorded(self):
-        versions = backend_versions()
-        assert versions["numpy"] == np.__version__
-
-    def test_numba_key_present_even_when_absent(self):
-        versions = backend_versions()
-        assert "numba" in versions  # None marks the missing optional dep
+        assert backend_versions() == {"numpy": np.__version__}
 
 
 class TestContract:

@@ -1,23 +1,46 @@
 """Backend provenance in sweep sharding: cell IDs, payloads, artifacts.
 
-The ``stop_on_death`` lesson applied to host capability: a cell's
-identity must pin the *resolved* kernel backend so resumed or merged
-artifacts never silently mix rows computed on different backends.
+The ``stop_on_death`` lesson applied to kernel backends: a cell's
+identity pins the *resolved* kernel backend, so an artifact whose rows
+were computed on another backend (by a build that had one) is never
+resumed or merged as if it were this build's.
 """
+
+import copy
+import json
 
 import pytest
 
-from repro.kernels import numba_backend as numba_backend_mod
-from repro.kernels import registry as registry_mod
-from repro.parallel.sharding import SweepSpec, load_artifact, run_shard
+from repro.parallel.sharding import (
+    SweepCell,
+    SweepSpec,
+    load_artifact,
+    merge_artifacts,
+    run_shard,
+)
 
 SPEC = SweepSpec(protocols=("direct",), lambdas=(4.0,), seeds=(0,), rounds=2)
 
 
-def _force_numba(monkeypatch, version):
-    monkeypatch.setattr(numba_backend_mod, "numba_version", lambda: version)
-    monkeypatch.setattr(registry_mod, "numba_version", lambda: version)
-    registry_mod._INSTANCES.pop("numba", None)
+def _foreign(cell: SweepCell, backend: str = "numba") -> SweepCell:
+    """``cell`` as a build with another backend enumerated it: the same
+    config with a doctored backend name (which no config here accepts)."""
+    config = copy.copy(cell.config)
+    object.__setattr__(config, "backend", backend)
+    return SweepCell(cell.protocol, config, cell.stop_on_death)
+
+
+def _doctor_rows(path, backend: str = "numba") -> None:
+    """Rewrite an artifact's cell rows as another backend's rows."""
+    foreign = {c.cell_id: _foreign(c, backend) for c in SPEC.cells()}
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if record.get("kind") == "cell":
+            cell = foreign[record["cell_id"]]
+            record.update(cell_id=cell.cell_id, backend=backend)
+        lines.append(json.dumps(record, sort_keys=True))
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestSpecBackendField:
@@ -48,22 +71,25 @@ class TestSpecBackendField:
                 backend="",
             )
 
+    def test_rejects_removed_backend(self):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            SweepSpec(
+                protocols=("direct",), lambdas=(4.0,), seeds=(0,),
+                backend="numba",
+            )
+
 
 class TestCellIdentity:
-    def test_cells_pin_resolved_backend(self, monkeypatch):
-        _force_numba(monkeypatch, None)
+    def test_cells_pin_resolved_backend(self):
         for cell in SPEC.cells():
             assert cell.backend == "numpy"  # resolved, never "auto"
 
-    def test_cell_ids_differ_across_resolved_backends(self, monkeypatch):
-        """The same 'auto' spec on a numba-capable host enumerates
-        *different* cell IDs than on a numpy-only host — so a resume
-        or merge across the capability boundary recomputes instead of
+    def test_cell_ids_differ_across_resolved_backends(self):
+        """A cell resolved to another backend has a *different* cell
+        ID, so a resume or merge of its rows recomputes instead of
         silently mixing backends."""
-        _force_numba(monkeypatch, None)
         numpy_cells = SPEC.cells()
-        _force_numba(monkeypatch, "99.0-fake")
-        numba_cells = SPEC.cells()
+        numba_cells = [_foreign(c) for c in numpy_cells]
 
         assert [c.backend for c in numpy_cells] == ["numpy"]
         assert [c.backend for c in numba_cells] == ["numba"]
@@ -98,21 +124,25 @@ class TestArtifactProvenance:
         for row in art.cell_rows:
             assert row["backend"] == "numpy"
 
-    def test_backend_switch_invalidates_resume(self, tmp_path, monkeypatch):
-        """Rows computed under one resolved backend are stale for a
-        spec resolving to another: every cell recomputes."""
+    def test_backend_switch_invalidates_resume(self, tmp_path):
+        """Rows computed under another resolved backend are stale: a
+        resume recomputes every cell."""
         path = tmp_path / "s.jsonl"
-        _force_numba(monkeypatch, None)
         first = run_shard(SPEC, 1, 1, path, serial=True)
         assert len(first.executed) == len(SPEC)
 
-        # Same spec, same host — resume recomputes nothing.
+        # Same spec, same build — resume recomputes nothing.
         again = run_shard(SPEC, 1, 1, path, serial=True)
         assert again.executed == []
 
-        # Fake a numba-capable host: identity moves, rows are stale.
-        # (run_shard would then *execute* on the faked backend and
-        # fail, so only check the partition bookkeeping.)
-        _force_numba(monkeypatch, "99.0-fake")
-        stale_ids = {c.cell_id for c in SPEC.cells()}
-        assert stale_ids.isdisjoint(first.executed)
+        _doctor_rows(path)
+        healed = run_shard(SPEC, 1, 1, path, serial=True)
+        assert sorted(healed.executed) == sorted(first.executed)
+        assert [r["backend"] for r in load_artifact(path).cell_rows] == ["numpy"]
+
+    def test_foreign_backend_rows_refused_by_merge(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_shard(SPEC, 1, 1, path, serial=True)
+        _doctor_rows(path)
+        with pytest.raises(ValueError, match="not in the grid"):
+            merge_artifacts([path])

@@ -65,10 +65,7 @@ class TestRunManifest:
 
     def test_backend_recorded_resolved_never_auto(self):
         m = run_manifest(make_config(), "qlec")  # config backend is "auto"
-        assert m["backend"] != "auto"
-        from repro.kernels import backend_names
-
-        assert m["backend"] in backend_names()
+        assert m["backend"] == "numpy"
 
     def test_backend_explicit_passthrough(self):
         m = run_manifest(make_config(), "qlec", backend="numpy")
@@ -79,9 +76,7 @@ class TestRunManifest:
         versions = m["backend_versions"]
         import numpy as np
 
-        assert versions["numpy"] == np.__version__
-        # Key present even when the optional dep is absent (value null).
-        assert "numba" in versions
+        assert versions == {"numpy": np.__version__}
 
 
 class TestStableFingerprint:

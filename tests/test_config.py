@@ -136,6 +136,15 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(backend="")
 
+    def test_backend_accepts_only_the_choices(self):
+        from repro.config import BACKEND_CHOICES
+
+        assert BACKEND_CHOICES == ("auto", "numpy")
+        for name in BACKEND_CHOICES:
+            assert SimulationConfig(backend=name).backend == name
+        with pytest.raises(ValueError, match="backend must be one of"):
+            SimulationConfig(backend="numba")
+
     def test_equivalence_is_bitwise_only(self):
         assert SimulationConfig().equivalence == "bitwise"
         with pytest.raises(ValueError, match="equivalence"):
@@ -147,7 +156,7 @@ class TestSimulationConfig:
         from repro.telemetry import config_fingerprint
 
         a = SimulationConfig(backend="numpy")
-        b = SimulationConfig(backend="numba")
+        b = SimulationConfig(backend="auto")
         assert config_fingerprint(a) != config_fingerprint(b)
 
 

@@ -417,7 +417,8 @@ def old_distances_many(self, nodes, targets):
         out[is_bs] = self.topology.d_to_bs[nodes[is_bs]]
     real = ~is_bs
     if real.any():
-        out[real] = self.kernels.distance_pairs(
+        # ``NumpyBackend.distance_pairs``, since deleted, was this call.
+        out[real] = euclidean(
             self.nodes.positions[nodes[real]],
             self.nodes.positions[targets[real]],
         )
