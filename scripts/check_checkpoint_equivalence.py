@@ -8,7 +8,9 @@ trace rows, the run-total latency sample, faults, routing summary, and
 telemetry deterministic-view — as a run that was never interrupted.
 Checked for both the scalar and batched engines with a fault plan and
 tree routing active, i.e. every RNG stream (protocol, faults, routing)
-must survive the round trip.
+must survive the round trip.  A congested leg (lambda = 1) repeats the
+batched kill with packets waiting in source buffers at the snapshot,
+so the arena's live rows and the non-empty buffers cross it too.
 
 Also checks the null path: a run with checkpointing enabled is
 bit-identical to one without (snapshots are pure observation).
@@ -41,6 +43,8 @@ SEED = 0
 CKPT_EVERY = 2
 KILL_ROUND = 5  # not a multiple of CKPT_EVERY: resume must re-execute 5..8
 TAG = "gate"
+PAPER_LAMBDA = 4.0
+CONGESTED_LAMBDA = 1.0
 
 
 def fail(msg: str) -> int:
@@ -48,9 +52,11 @@ def fail(msg: str) -> int:
     return 1
 
 
-def gate_config():
+def gate_config(mean_interarrival: float = PAPER_LAMBDA):
     config = dataclasses.replace(
-        paper_config(seed=SEED, rounds=ROUNDS),
+        paper_config(
+            mean_interarrival=mean_interarrival, seed=SEED, rounds=ROUNDS
+        ),
         routing=RoutingConfig(kind="tree"),
     )
     return config.replace(faults=build_fault_plan("ch-kill", config))
@@ -66,9 +72,9 @@ def round_rows(result) -> list[dict]:
     return [dataclasses.asdict(r) for r in result.per_round]
 
 
-def child(checkpoint_dir: Path, batched: bool) -> None:
+def child(checkpoint_dir: Path, batched: bool, mean_interarrival: float) -> None:
     """Run checkpointed, then die hard right after KILL_ROUND."""
-    engine = gate_engine(gate_config(), batched=batched)
+    engine = gate_engine(gate_config(mean_interarrival), batched=batched)
 
     def kill_switch() -> bool:
         if engine.state.round_index >= KILL_ROUND:
@@ -104,9 +110,13 @@ def compare(resumed, reference, resumed_tel, reference_tel, leg: str) -> int:
     return 0
 
 
-def check_kill_resume(batched: bool) -> int:
+def check_kill_resume(
+    batched: bool, mean_interarrival: float = PAPER_LAMBDA
+) -> int:
     leg = "batched" if batched else "scalar"
-    config = gate_config()
+    if mean_interarrival != PAPER_LAMBDA:
+        leg += f" lambda={mean_interarrival:g}"
+    config = gate_config(mean_interarrival)
     reference_engine = gate_engine(config, batched=batched)
     reference = reference_engine.run()
 
@@ -119,6 +129,7 @@ def check_kill_resume(batched: bool) -> int:
                 "--child",
                 str(checkpoint_dir),
                 "1" if batched else "0",
+                repr(mean_interarrival),
             ],
             env=os.environ.copy(),
             capture_output=True,
@@ -143,6 +154,9 @@ def check_kill_resume(batched: bool) -> int:
                 f"{leg}: snapshot at round {header['round_index']} — the "
                 f"kill at round {KILL_ROUND} should predate it"
             )
+        buffered = engine.buffers.total
+        if mean_interarrival != PAPER_LAMBDA and buffered == 0:
+            return fail(f"{leg}: no packet was buffered at the snapshot")
         resumed = engine.run()
         rc = compare(
             resumed, reference, engine.telemetry,
@@ -152,7 +166,8 @@ def check_kill_resume(batched: bool) -> int:
             return rc
         print(
             f"ok kill-resume {leg} (killed r{KILL_ROUND}, resumed "
-            f"r{header['round_index']}, pdr={resumed.delivery_rate:.4f})"
+            f"r{header['round_index']} with {buffered} packets buffered, "
+            f"pdr={resumed.delivery_rate:.4f})"
         )
     return 0
 
@@ -180,13 +195,15 @@ def check_null_equivalence() -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--child":
-        child(Path(argv[1]), batched=argv[2] == "1")
+    if len(argv) == 4 and argv[0] == "--child":
+        child(Path(argv[1]), batched=argv[2] == "1",
+              mean_interarrival=float(argv[3]))
         return 0
     return (
         check_null_equivalence()
         or check_kill_resume(batched=True)
         or check_kill_resume(batched=False)
+        or check_kill_resume(batched=True, mean_interarrival=CONGESTED_LAMBDA)
     )
 
 

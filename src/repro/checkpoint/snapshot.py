@@ -32,15 +32,20 @@ position; in-graph aliases (the state's RNG streams shared with the
 traffic source and fault injector, the channel's telemetry binding,
 the registry's phase-timer cache, the span sink shared by the
 instrument handle, kernel wrapper and fault injector) are preserved by
-the pickle memo; derived geometry (``Topology``'s node->BS distances)
-is recomputed on load by the same call that built it; and the kernel
-backend reduces to its name and is re-resolved through
-``get_backend`` on load (a name this build lacks raises
-``BackendUnavailableError``).  The payload is written and read by
-the plain (C) pickler, and its size and write time depend on the
-engine's state, not on how many rounds it has run.
+the pickle memo; derived state (``Topology``'s node->BS distances,
+``LinkEstimator``'s decay-power cache) is recomputed by the same call
+that built it; and the kernel backend reduces to its name and is
+re-resolved through ``get_backend`` on load (a name this build lacks
+raises ``BackendUnavailableError``).  The payload is written and read
+by the plain (C) pickler.  Its size and write time depend on the
+engine's live state, not on buffer capacity or on how many rounds it
+has run: the packet arena stores its free stack and live rows, the
+source buffers their non-empty nodes, and the energy ledger shares the
+nodes' initial energies.  Right after a restore the engine pickles
+back to the bytes it was read from.
 ``scripts/check_checkpoint_equivalence.py`` enforces the guarantee
-end-to-end in CI: SIGKILL at an arbitrary round, resume, and the final
+end-to-end in CI: SIGKILL at an arbitrary round (including a congested
+run with packets buffered at the snapshot), resume, and the final
 result, golden trace, run-total latency sample, and telemetry
 deterministic-view match the uninterrupted run bit for bit.
 """
@@ -86,8 +91,11 @@ CHECKPOINT_KIND = "engine-checkpoint"
 #: engine's one instrument handle carries the span sink
 #: (``Telemetry.spans``; no ``engine.tracer``), and ``Topology`` drops
 #: its derived node->BS distances, recomputing them on restore.
-#: Schema 4: kernel backends pickle by registry name alone.
-CHECKPOINT_SCHEMA = 4
+#: Schema 4: kernel backends pickle by registry name alone.  Schema 5:
+#: the packet arena and the source buffers pickle their live rows and
+#: non-empty buffers only, the energy ledger shares the nodes' initial
+#: energies, and the link estimator drops its decay-power cache.
+CHECKPOINT_SCHEMA = 5
 
 #: Snapshot filename suffix (``<tag>-r<round:08d>.ckpt``).
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -261,7 +269,9 @@ def read_checkpoint(
             f"repro {__version__!r}; pickled engine internals are not "
             "stable across versions — rerun instead of resuming"
         )
-    payload = raw[nl + 1 :]
+    # A view, not a slice: the payload is hashed and unpickled in
+    # place rather than copied.
+    payload = memoryview(raw)[nl + 1 :]
     if len(payload) != header["payload_bytes"]:
         raise CheckpointCorruptError(
             f"{path}: torn payload ({len(payload)} bytes on disk, header "

@@ -74,7 +74,13 @@ class EnergyLedger:
             raise ValueError("death_line must be >= 0")
         if np.any(initial <= death_line):
             raise ValueError("all initial energies must exceed the death line")
-        self._initial = initial.copy()
+        # Never written, so a read-only array that owns its data (such
+        # as NodeArray.initial_energy) is held as is: a snapshot of the
+        # state then pickles the two as one.
+        if initial.flags.writeable or not initial.flags.owndata:
+            initial = initial.copy()
+            initial.flags.writeable = False
+        self._initial = initial
         self._residual = initial.copy()
         self._death_line = float(death_line)
         self._alive = np.ones(initial.size, dtype=bool)

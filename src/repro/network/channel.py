@@ -79,6 +79,18 @@ class LinkEstimator:
     ``initial`` so fresh cluster heads are explored.
     """
 
+    #: Cached decay powers ``(1-a)^k`` for the batched fold, grown on
+    #: demand; built with numpy's ``power`` on integer exponents so
+    #: ``_pow_table[k] == (1-a)**k`` bitwise (the fold kernel reads the
+    #: table instead of calling ``pow``).  Derived from ``alpha``, so
+    #: it is left out of pickles and regrows after a restore.
+    _pow_table: np.ndarray = np.ones(0)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_pow_table", None)
+        return state
+
     def __init__(
         self,
         n_nodes: int,
@@ -96,11 +108,6 @@ class LinkEstimator:
             raise ValueError("initial must lie in [0, 1]")
         self.alpha = alpha
         self.kernels = kernels if kernels is not None else get_backend("numpy")
-        #: Cached decay powers ``(1-a)^k`` for the batched fold, grown
-        #: on demand; built with numpy's ``power`` on integer exponents
-        #: so ``_pow_table[k] == (1-a)**k`` bitwise (the fold kernel
-        #: reads the table instead of calling ``pow``).
-        self._pow_table = np.power(1.0 - alpha, np.arange(1))
         #: When True, an ACK outcome updates every sender's estimate of
         #: that target (the target's service ratio is effectively
         #: broadcast, e.g. piggybacked on its HELLO/ACK traffic).  This

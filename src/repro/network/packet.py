@@ -106,9 +106,16 @@ class PacketArena:
     Rows are recycled: :meth:`free` pushes indices onto a LIFO free
     list and :meth:`alloc` pops from it before growing the columns, so
     steady-state traffic allocates no memory at all.
+
+    A pickle holds the live rows only (see :meth:`__getstate__`), so a
+    snapshot's size follows the packets in flight, not the capacity.
     """
 
     _GROW = 1024
+    _COLUMNS = (
+        "source", "born_slot", "hops", "retries",
+        "status", "delivered_slot", "nxt",
+    )
 
     def __init__(self, initial_capacity: int = 1024) -> None:
         cap = max(int(initial_capacity), 1)
@@ -119,13 +126,49 @@ class PacketArena:
         self.status = np.zeros(cap, dtype=np.int8)
         self.delivered_slot = np.full(cap, -1, dtype=np.int64)
         self.nxt = np.full(cap, -1, dtype=np.int64)
-        # Zeroed, not empty: the unused tails of the columns and of the
-        # free stack are pickled into snapshots, so they must hold
-        # defined bytes rather than whatever the heap held.
         self._free = np.zeros(cap, dtype=np.int64)
         self._n_free = 0
         self._size = 0          # high-water mark of rows ever handed out
         self._n_live = 0
+
+    def _live_rows(self) -> np.ndarray:
+        """Ascending indices of the allocated rows."""
+        live = np.ones(self._size, dtype=bool)
+        live[self._free[: self._n_free]] = False
+        return np.flatnonzero(live)
+
+    def __getstate__(self) -> dict:
+        # The capacity, the free stack in order (so later allocs hand
+        # out the same indices) and the live rows.  A freed row is
+        # rewritten whole by alloc before it is read, so its stale
+        # values are not state.
+        rows = self._live_rows()
+        state = {
+            "capacity": self.capacity,
+            "size": self._size,
+            "free": self._free[: self._n_free],
+        }
+        for name in self._COLUMNS:
+            state[name] = getattr(self, name)[rows]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Each array is rebuilt on the dtype object it was pickled with,
+        # as numpy's own restore leaves an array, so the pickle memo
+        # keeps one dtype per type and the restored arena pickles back
+        # to the same bytes.
+        self.__init__(state["capacity"])
+        self._size = state["size"]
+        free = state["free"]
+        self._n_free = free.size
+        self._free = self._free.astype(free.dtype)
+        self._free[: free.size] = free
+        self._n_live = self._size - self._n_free
+        rows = self._live_rows()
+        for name in self._COLUMNS:
+            col = getattr(self, name).astype(state[name].dtype)
+            col[rows] = state[name]
+            setattr(self, name, col)
 
     # -- inspection ----------------------------------------------------
     @property
@@ -153,10 +196,7 @@ class PacketArena:
     def _grow_to(self, cap: int) -> None:
         old = self.capacity
         cap = max(cap, old * 2, self._GROW)
-        for name in (
-            "source", "born_slot", "hops", "retries",
-            "status", "delivered_slot", "nxt",
-        ):
+        for name in self._COLUMNS:
             col = getattr(self, name)
             new = np.zeros(cap, dtype=col.dtype)
             new[:old] = col
@@ -237,8 +277,9 @@ class LatencyReservoir:
         self.capacity = capacity
         self.count = 0
         self._filled = 0
-        # Zeroed for the same reason as PacketArena's columns: the
-        # unfilled tail is pickled.
+        # Zeroed, not empty: the unfilled tail is pickled into
+        # snapshots, so it must hold defined bytes rather than whatever
+        # the heap held.
         self._sample = np.zeros(capacity, dtype=np.int64)
         self._rng = np.random.default_rng(self._SEED)
 

@@ -72,7 +72,7 @@ class SourceBuffers:
     column: only three ``(N,)`` arrays of state (head, tail, length)
     exist no matter how deep the backlogs get, and the engine's
     per-slot head-of-line peek / pop across all senders is one fancy
-    index each.
+    index each.  A pickle holds the non-empty buffers only.
     """
 
     def __init__(self, n_nodes: int, arena: PacketArena) -> None:
@@ -80,6 +80,31 @@ class SourceBuffers:
         self._head = np.full(n_nodes, -1, dtype=np.int64)
         self._tail = np.full(n_nodes, -1, dtype=np.int64)
         self.lengths = np.zeros(n_nodes, dtype=np.int64)
+
+    def __getstate__(self) -> dict:
+        # An empty buffer is always (-1, -1, 0): pop resets the tail
+        # when it takes the last packet.  Every array is on the dtype
+        # object of ``lengths`` (see PacketArena.__setstate__).
+        dtype = self.lengths.dtype
+        nodes = np.flatnonzero(self.lengths).astype(dtype)
+        return {
+            "arena": self.arena,
+            "n_nodes": self.lengths.size,
+            "nodes": nodes,
+            "head": self._head[nodes],
+            "tail": self._tail[nodes],
+            "lengths": self.lengths[nodes],
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        n, nodes, dtype = state["n_nodes"], state["nodes"], state["lengths"].dtype
+        self.arena = state["arena"]
+        self._head = np.full(n, -1, dtype=dtype)
+        self._tail = np.full(n, -1, dtype=dtype)
+        self.lengths = np.zeros(n, dtype=dtype)
+        self._head[nodes] = state["head"]
+        self._tail[nodes] = state["tail"]
+        self.lengths[nodes] = state["lengths"]
 
     @property
     def total(self) -> int:

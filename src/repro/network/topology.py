@@ -9,6 +9,8 @@ once per round and shared (views, not copies — see the HPC guides).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..kernels.base import euclidean
@@ -97,7 +99,10 @@ class Topology:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # Interned keys, as pickle's default restore makes them (see
+        # NetworkState.__setstate__), so a restored engine pickles to
+        # the same bytes.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
         self._d_to_bs = distances_to_point(self.nodes.positions, self.bs.xyz)
         self._d_to_bs.flags.writeable = False
 

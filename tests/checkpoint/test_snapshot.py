@@ -37,7 +37,7 @@ from repro.kernels import (
     get_backend,
 )
 from repro.network.packet import PacketCounts
-from repro.simulation import SimulationEngine
+from repro.simulation import SimulationEngine, build_scenario
 from repro.telemetry import SpanTracer, Telemetry
 from repro.telemetry.manifest import config_fingerprint
 from repro.telemetry.registry import deterministic_view
@@ -128,6 +128,62 @@ class TestRoundtripIdentity:
         assert resumed.summary() == expected.summary()
 
 
+class TestLiveStateEncoding:
+    """Snapshots store live state: the packet arena's live rows and the
+    non-empty source buffers, not their capacity."""
+
+    @pytest.mark.parametrize("mean_interarrival", [0.5, 1.0])
+    @pytest.mark.parametrize("name", ["qlec", "fcm", "kmeans"])
+    def test_resume_with_buffered_packets_is_bit_identical(
+        self, tmp_path, name, mean_interarrival
+    ):
+        config = paper_config(
+            mean_interarrival=mean_interarrival, rounds=6, seed=1
+        )
+        expected = SimulationEngine(config, PROTOCOLS[name]()).run()
+
+        engine = SimulationEngine(config, PROTOCOLS[name]())
+        for _ in range(3):
+            engine.run_round()
+        # Congested: packets wait in source buffers across the boundary.
+        assert engine.buffers.total > 0 and engine.arena.n_live > 0
+        path = tmp_path / f"run-r00000003{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        resumed = read_checkpoint(path)[1].run()
+        assert resumed.summary() == expected.summary()
+        assert resumed.total_energy == expected.total_energy
+        assert _round_stats(resumed) == _round_stats(expected)
+
+    @pytest.mark.parametrize("name", ["qlec", "fcm", "kmeans", "chaos"])
+    def test_restored_engine_pickles_to_the_same_bytes(self, tmp_path, name):
+        if name == "chaos":
+            config, nodes, bs = build_scenario("chaos-underwater-deep", 0)
+            assert config.routing.kind == "tree"
+            engine = SimulationEngine(
+                config, PROTOCOLS["qlec"](), nodes=nodes, bs=bs
+            )
+        else:
+            engine = SimulationEngine(
+                paper_config(seed=3, rounds=8), PROTOCOLS[name]()
+            )
+        for _ in range(3):
+            engine.run_round()
+        path = tmp_path / f"run-r00000003{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        _, restored = read_checkpoint(path)
+        assert pickle.dumps(restored, protocol=pickle.HIGHEST_PROTOCOL) == payload
+
+    def test_ledger_shares_the_initial_energies(self, tmp_path):
+        engine = _engine(_config(rounds=3))
+        engine.run_round()
+        assert engine.state.ledger._initial is engine.state.nodes.initial_energy
+        path = tmp_path / f"run-r00000001{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        state = read_checkpoint(path)[1].state
+        assert state.ledger._initial is state.nodes.initial_energy
+
+
 class TestSnapshotCost:
     def test_snapshot_size_is_flat_in_round_index(self, tmp_path):
         engine = _engine(_config(rounds=50))
@@ -187,7 +243,7 @@ class TestLinkTable:
             without = self._snapshot(tmp_path, "off").read_bytes()
         assert with_table == without
         assert b"RoundLinks" not in with_table
-        assert CHECKPOINT_SCHEMA == 4
+        assert CHECKPOINT_SCHEMA == 5
 
     def test_restore_and_finish_is_bit_identical(self, tmp_path):
         expected = _engine(_config(rounds=6)).run()
@@ -391,12 +447,14 @@ class TestRefusalTaxonomy:
         # without a span sink; resuming one would fail mid-run.  Schema
         # 3 pickled backends as ``(name, equivalence)``, which
         # ``get_backend`` no longer takes; loading one would fail inside
-        # ``pickle.loads``.
+        # ``pickle.loads``.  Schema 4 pickled the packet arena and the
+        # source buffers at full capacity, which their restore no
+        # longer reads.
         engine = _engine(_config(rounds=3), telemetry=True, tracer=SpanTracer())
         engine.run_round()
         path = tmp_path / f"t-r00000001{CHECKPOINT_SUFFIX}"
         write_checkpoint(engine, path)
-        for schema in (2, 3):
+        for schema in (2, 3, 4):
             self._rewrite_header(path, schema=schema)
             with pytest.raises(CheckpointVersionError, match=f"schema {schema}"):
                 read_checkpoint(path)

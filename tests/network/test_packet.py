@@ -1,7 +1,11 @@
 """Tests for packet records and aggregate statistics."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.packet import (
     LatencyReservoir,
@@ -118,6 +122,71 @@ class TestPacketArena:
         rows = arena.alloc(np.array([0, 1]), born_slot=2)
         arena.delivered_slot[rows] = [5, 9]
         assert arena.latencies(rows).tolist() == [3, 7]
+
+
+def _live_view(arena):
+    """Everything an arena's future depends on: its shape, the free
+    stack in order, and the seven columns of the live rows."""
+    rows = arena._live_rows()
+    return (
+        arena.capacity,
+        arena._size,
+        arena.n_live,
+        arena._free[: arena._n_free].tolist(),
+        rows.tolist(),
+        [getattr(arena, name)[rows].tolist() for name in PacketArena._COLUMNS],
+    )
+
+
+class TestArenaPickle:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=700),  # rows to alloc
+                st.integers(min_value=0, max_value=2**32 - 1),  # free pick
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.integers(min_value=1, max_value=1500),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_keeps_live_rows_and_next_alloc(self, ops, next_m):
+        arena = PacketArena()
+        live: list[int] = []
+        for slot, (m, pick) in enumerate(ops):
+            rows = arena.alloc(np.arange(m) % 97, born_slot=slot)
+            # Give the live rows values that differ from alloc's fill.
+            arena.hops[rows] = slot % 5
+            arena.retries[rows] = m % 3
+            arena.status[rows] = slot % 4
+            arena.delivered_slot[rows] = slot + 7
+            arena.nxt[rows] = np.roll(rows, 1)
+            live += rows.tolist()
+            order = np.random.default_rng(pick).permutation(len(live))
+            n_free = pick % (len(live) + 1)
+            arena.free(np.asarray(live, dtype=np.int64)[order[:n_free]])
+            live = [live[i] for i in sorted(order[n_free:])]
+        assert arena.n_live == len(live) == arena._size - arena._n_free
+
+        restored = pickle.loads(pickle.dumps(arena))
+        assert _live_view(restored) == _live_view(arena)
+
+        sources = np.arange(next_m) % 13
+        got = restored.alloc(sources, born_slot=999)
+        want = arena.alloc(sources, born_slot=999)
+        assert got.tolist() == want.tolist()
+        assert _live_view(restored) == _live_view(arena)
+
+    def test_empty_arena_pickles_in_free_stack_bytes(self):
+        # The ckpt-resume-1e4 shape: 4 096 rows of capacity, a
+        # high-water mark of 3 245, and no packet in flight.
+        arena = PacketArena(4096)
+        arena.free(arena.alloc(np.zeros(3245, dtype=np.int64), born_slot=0))
+        assert arena.n_live == 0 and arena.capacity == 4096
+        size = len(pickle.dumps(arena, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 8 * 3245 + 1024, size
+        assert len(pickle.dumps(PacketArena(4096))) <= 1024
 
 
 class TestLatencyReservoir:

@@ -1,6 +1,8 @@
 """Tests for the array-backed queueing substrate: the cluster-head
 ring-buffer bank and the arena-threaded source buffers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,24 @@ class TestSourceBuffers:
         again = arena.alloc(np.array([0]), born_slot=5)
         bufs.push_batch(np.array([0]), again)
         assert bufs.indices(0) == [int(again[0])]
+
+    def test_pickle_round_trip_with_non_empty_fifos(self):
+        arena = PacketArena()
+        bufs = SourceBuffers(6, arena)
+        nodes = np.array([0, 0, 0, 2, 3, 3, 5])
+        bufs.push_batch(nodes, arena.alloc(nodes, born_slot=0))
+        bufs.pop(np.array([0, 3]))
+        bufs.pop(np.array([3]))  # node 3 empties
+        more = np.array([1, 2, 2])
+        bufs.push_batch(more, arena.alloc(more, born_slot=1))
+
+        restored = pickle.loads(pickle.dumps(bufs))
+        assert restored.arena is not arena
+        for node in range(6):
+            assert restored.indices(node) == bufs.indices(node)
+        for name in ("_head", "_tail", "lengths"):
+            assert getattr(restored, name).tolist() == getattr(bufs, name).tolist()
+        # Both keep serving in the same order.
+        senders = np.array([0, 1, 2, 5])
+        assert restored.pop(senders).tolist() == bufs.pop(senders).tolist()
+        assert restored.lengths.tolist() == bufs.lengths.tolist()
