@@ -121,7 +121,6 @@ STATUS_KEYS = {
     "failed": int,
     "retried": int,
     "resumed": int,
-    "steals": int,
     "reclaimed": int,
     "ewma_cell_seconds": (int, float, type(None)),
     "eta_seconds": (int, float, type(None)),
@@ -175,7 +174,6 @@ RESUME_KEYS = {
 
 SCHED_EVENTS = (
     "lease",
-    "steal",
     "requeue",
     "reclaim",
     "complete",
@@ -283,7 +281,7 @@ def check_sched_event(obj: dict, where: str) -> list[str]:
             f"{where}: sched-event {event!r} is not a scheduler "
             f"lifecycle verb (known: {', '.join(SCHED_EVENTS)})"
         )
-    if event in ("lease", "steal", "requeue", "reclaim", "complete", "error"):
+    if event in ("lease", "requeue", "reclaim", "complete", "error"):
         cid = obj.get("cell_id", "")
         if not (isinstance(cid, str) and re.fullmatch(r"[0-9a-f]{16}", cid)):
             errors.append(f"{where}: cell_id {cid!r} is not 16 hex digits")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: a chaos-ridden scheduled sweep must merge back to serial.
 
-Runs one small grid under the work-stealing scheduler with two injected
+Runs one small grid under the lease scheduler with two injected
 casualties — one worker SIGKILLed mid-cell (transient: the lease must
 be reclaimed and only that cell re-leased) and one deterministic cell
 failure (an immediate ``cell-error`` row, never re-leased) — then heals

@@ -37,11 +37,6 @@ class PairedComparison:
     def n(self) -> int:
         return self.wins + self.losses + self.ties
 
-    @property
-    def significant(self) -> bool:
-        """CI excludes zero (95 % paired bootstrap)."""
-        return self.ci_lo > 0.0 or self.ci_hi < 0.0
-
     def __str__(self) -> str:
         return (
             f"{self.a} - {self.b} on {self.metric}: "

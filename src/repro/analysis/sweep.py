@@ -37,7 +37,6 @@ from ..parallel import (
     run_scheduled,
 )
 from ..telemetry import Telemetry
-from .stats import mean_ci
 
 __all__ = [
     "PROTOCOLS",
@@ -244,10 +243,6 @@ class SweepResult:
                 f"no rows for protocol={protocol!r}, lambda={mean_interarrival}"
             )
         return float(np.mean([r[metric] for r in rows]))
-
-    def aggregate_ci(self, metric: str, protocol: str, mean_interarrival: float):
-        rows = self.filtered(protocol=protocol, **{"lambda": mean_interarrival})
-        return mean_ci([r[metric] for r in rows])
 
     def series(
         self, metric: str, protocols: Sequence[str], lambdas: Sequence[float]

@@ -206,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="instrument every cell; snapshots ride in the "
                           "artifact and merge across shards")
     swp.add_argument("--scheduler", action="store_true",
-                     help="run the whole grid under the work-stealing "
-                          "lease scheduler instead of one static shard "
+                     help="run the whole grid under the lease scheduler "
+                          "(one queue, canonical order) instead of one "
+                          "static shard "
                           "(incompatible with --shard other than 1/1); "
                           "worker deaths are reclaimed and respawned")
     swp.add_argument("--lease-seconds", type=_positive_float, default=None,
@@ -676,8 +677,8 @@ def _cmd_sweep(args) -> int:
             )
     print(
         f"  executed {len(run.executed)}, resumed {len(run.skipped)}, "
-        f"errors {len(run.errors)}; steals {run.steals}, "
-        f"reclaims {run.reclaims}, worker deaths {run.worker_deaths}"
+        f"errors {len(run.errors)}; reclaims {run.reclaims}, "
+        f"worker deaths {run.worker_deaths}"
     )
     for err in run.errors:
         print(
@@ -719,7 +720,6 @@ def _cmd_status(args) -> int:
             "done": st["done"],
             "failed": st["failed"],
             "retried": st["retried"],
-            "steals": st.get("steals", 0),
             "reclaimed": st.get("reclaimed", 0),
             "total": st["cells_total"],
             "cell_s": "-" if ewma is None else f"{ewma:.2f}",

@@ -380,19 +380,6 @@ class QRouter:
         self.q_evaluations += q.size
         return q, v_new, targets
 
-    def q_values_many(
-        self, nodes: np.ndarray, heads: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`q_values`: the ``(len(nodes), k+1)`` Q block.
-
-        Row i is bitwise identical to ``q_values(nodes[i], heads)[0]``:
-        every term is an elementwise op evaluated in the scalar path's
-        order, so evaluating senders together (on any kernel backend)
-        changes nothing but wall-clock.
-        """
-        q, _, targets = self._q_block(nodes, heads)
-        return q, targets
-
     def choose_many(
         self,
         nodes: np.ndarray,

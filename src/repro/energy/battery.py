@@ -150,12 +150,6 @@ class EnergyLedger:
         return float(self._residual.sum())
 
     @property
-    def total_consumed(self) -> float:
-        """Net battery drawdown (initial minus residual).  Equals the
-        gross radio spend unless harvesting credited energy back."""
-        return self.total_initial - self.total_residual
-
-    @property
     def total_spent(self) -> float:
         """Gross radio energy spent (tx + rx + aggregation) — the
         metric Fig. 3(b) reports; unaffected by harvesting income."""

@@ -224,11 +224,3 @@ class FaultPlan:
         config fingerprints, so the plan's identity composes into
         them)."""
         return stable_fingerprint(self.to_payload())
-
-    def last_round(self) -> int:
-        """Last round any event touches (window ends included)."""
-        end = 0
-        for ev in self.events:
-            w = ev.duration if ev.kind in _WINDOW_KINDS else 1
-            end = max(end, ev.round + w)
-        return end

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.base import euclidean
-
 __all__ = ["Node", "BaseStation", "NodeArray"]
 
 
@@ -27,6 +25,17 @@ class BaseStation:
     @property
     def xyz(self) -> np.ndarray:
         return np.asarray(self.position, dtype=np.float64)
+
+
+def _immutable(a: np.ndarray) -> bool:
+    """True if nothing can write ``a``'s memory: every array in its base
+    chain is read-only, and the chain ends in an owner or in ``bytes``
+    (as an unpickled array's does)."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None or isinstance(a, bytes)
 
 
 @dataclass(frozen=True)
@@ -68,9 +77,12 @@ class NodeArray:
             raise ValueError("positions must have shape (N, 3)")
         if positions.shape[0] == 0:
             raise ValueError("need at least one node")
-        energy = np.broadcast_to(
-            np.asarray(initial_energy, dtype=np.float64), (positions.shape[0],)
-        ).copy()
+        energy = np.asarray(initial_energy, dtype=np.float64)
+        # Never written, so an immutable (N,) array (another NodeArray's,
+        # on a mobility step) is held as is: the ledger and every later
+        # NodeArray then share one copy, and a snapshot stores it once.
+        if energy.shape != positions.shape[:1] or not _immutable(energy):
+            energy = np.broadcast_to(energy, positions.shape[:1]).copy()
         if np.any(energy <= 0.0):
             raise ValueError("initial energies must be positive")
         self._positions = positions.copy()
@@ -125,13 +137,6 @@ class NodeArray:
 
     def __iter__(self):
         return (self[i] for i in range(self.n))
-
-    def distances_to(self, point: np.ndarray) -> np.ndarray:
-        """Euclidean distance from every node to ``point`` (shape (3,))."""
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (3,):
-            raise ValueError("point must have shape (3,)")
-        return euclidean(point, self._positions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NodeArray(n={self.n})"

@@ -177,7 +177,10 @@ class PacketArena:
 
     @property
     def n_live(self) -> int:
-        """Rows currently allocated (leak check: 0 after a full run)."""
+        """Rows currently allocated (leak check: 0 after a full run).
+
+        Kept for the checkpoint tests, which observe through it that a
+        resume boundary really has packets in flight."""
         return self._n_live
 
     def record(self, idx: int) -> PacketRecord:
@@ -411,6 +414,9 @@ class PacketCounts:
 
     @property
     def mean_hops(self) -> float:
+        """Mean hops per delivered packet.  Kept for the hop-count
+        assertions of the TL-LEACH and QELAR tests, which observe the
+        engine's multi-hop relaying through it."""
         if self.delivered == 0:
             return 0.0
         return self.total_hops / self.delivered

@@ -224,18 +224,6 @@ class QueueBank:
         """High-water backlog per head across the round (copy)."""
         return self._peak.copy()
 
-    @property
-    def total_queued(self) -> int:
-        return int(self._len.sum())
-
-    def queue_length(self, head: int) -> int:
-        """Current backlog at ``head`` (0 for unknown heads, so routing
-        code can query optimistically)."""
-        head = int(head)
-        if not 0 <= head < self._pos.size:
-            return 0
-        p = self._pos[head]
-        return int(self._len[p]) if p >= 0 else 0
 
     # -- mutation ------------------------------------------------------
     def _gather(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

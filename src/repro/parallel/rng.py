@@ -50,6 +50,3 @@ class SeedFactory:
         return int(
             np.random.SeedSequence(material).generate_state(1, dtype=np.uint64)[0]
         )
-
-    def generator_for(self, *key) -> np.random.Generator:
-        return np.random.default_rng(self.seed_for(*key))

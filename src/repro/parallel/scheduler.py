@@ -1,4 +1,4 @@
-"""Work-stealing sweep scheduler with lease-based fault recovery.
+"""Lease-based sweep scheduler with fault recovery.
 
 Static rank-mod-``K`` sharding (:mod:`repro.parallel.sharding`) wastes
 hosts whenever cell costs are skewed: a shard that drew the large-``N``
@@ -12,22 +12,21 @@ metric.
 Two layers:
 
 * :class:`SweepScheduler` — a **pure state machine** (no I/O, no
-  processes, injectable clock).  Cells start in per-worker *home
-  queues* dealt by the same :func:`~repro.parallel.sharding.partition_cells`
-  rank partition, so locality mirrors static sharding when costs are
-  even; an idle worker whose home queue drained **steals** from the
-  longest remaining queue.  Every running cell is covered by a
-  :class:`Lease` with a deadline; an expired lease — or a dead worker —
-  is **reclaimed** and the cell re-queued.  Failure handling rides the
-  PR-5 fault taxonomy: a *deterministic* failure
-  (:func:`~repro.parallel.sharding.classify_error`) becomes a
-  ``cell-error`` row immediately (replaying a pure function cannot
-  change the outcome); a *transient* one re-leases up to
-  ``max_lease_attempts`` times.  The machine guarantees **exactly-once
-  rows**: however leases, steals, reclaims, and duplicate completions
-  interleave, each cell contributes exactly one ``cell`` or
-  ``cell-error`` record (the hypothesis property suite drives random
-  interleavings against this invariant).
+  processes, injectable clock).  Pending cells wait in one FIFO queue
+  in canonical :meth:`~repro.parallel.sharding.SweepSpec.cells` order,
+  and whichever worker asks next gets the front cell.  One coordinator
+  grants every lease, so a single queue already balances skewed cell
+  costs.  Every running cell is covered by a :class:`Lease` with a
+  deadline; an expired lease — or a dead worker — is **reclaimed** and
+  the cell goes to the back of the queue.  Failure handling rides the
+  fault taxonomy of :func:`~repro.parallel.sharding.classify_error`: a
+  *deterministic* failure becomes a ``cell-error`` row immediately
+  (replaying a pure function cannot change the outcome); a *transient*
+  one re-leases up to ``max_lease_attempts`` times.  The machine
+  guarantees **exactly-once rows**: however leases, reclaims, and
+  duplicate completions interleave, each cell contributes exactly one
+  ``cell`` or ``cell-error`` record (the hypothesis property suite
+  drives random interleavings against this invariant).
 
 * :func:`run_scheduled` — the **process coordinator**, and the only
   sweep executor: static shards (:func:`~repro.parallel.sharding.run_shard`)
@@ -43,8 +42,8 @@ Two layers:
   optionally gzip compressed), so ``merge_artifacts`` and
   ``repro merge`` consume it unchanged.
 
-Scheduler *events* (lease grants, steals, reclaims, requeues, worker
-deaths, duplicate drops) are appended to an ``<artifact>.events.jsonl``
+Scheduler *events* (lease grants, reclaims, requeues, worker deaths,
+duplicate drops) are appended to an ``<artifact>.events.jsonl``
 sidecar — like the status sidecar, they are per-run ephemera that never
 merge or fingerprint, but they make a chaotic run auditable: the chaos
 tests and the CI determinism gate assert re-lease decisions from them.
@@ -148,22 +147,17 @@ class Lease:
     attempt: int  # 1-based count of lease grants for this cell
     granted_at: float
     deadline: float
-    stolen: bool = False
 
 
 class SweepScheduler:
-    """The pure work-stealing lease state machine.
+    """The pure lease state machine over one FIFO queue.
 
     Parameters
     ----------
     cells:
         The cells still to run (canonical enumeration order; resumed
-        cells are simply not handed in).
-    num_queues:
-        Home-queue count — normally the worker-fleet size.  Queue
-        assignment is the rank partition of
-        :func:`~repro.parallel.sharding.partition_cells`, so a
-        never-stealing run visits cells exactly as static shards would.
+        cells are simply not handed in).  Leases are granted in this
+        order; a requeued cell goes to the back.
     lease_seconds / max_lease_attempts:
         Lease duration (``math.inf``: leases never expire) and the
         per-cell bound on grants; exceeding the bound synthesises a
@@ -179,13 +173,10 @@ class SweepScheduler:
     def __init__(
         self,
         cells: list[SweepCell],
-        num_queues: int,
         *,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_lease_attempts: int = DEFAULT_MAX_LEASE_ATTEMPTS,
     ) -> None:
-        if num_queues < 1:
-            raise ValueError("num_queues must be >= 1")
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
         if max_lease_attempts < 1:
@@ -193,18 +184,10 @@ class SweepScheduler:
         self.cells = {c.cell_id: c for c in cells}
         if len(self.cells) != len(cells):
             raise ValueError("duplicate cell IDs")
-        # Home-queue rank: same sorted-cell-ID ranking partition_cells
-        # uses, so a requeued cell returns to the queue it started in.
-        self._rank = {
-            cid: i for i, cid in enumerate(sorted(self.cells))
-        }
-        self.num_queues = num_queues
         self.lease_seconds = float(lease_seconds)
         self.max_lease_attempts = int(max_lease_attempts)
-        self.queues: list[deque[str]] = [
-            deque(c.cell_id for c in q)
-            for q in partition_cells(cells, num_queues)
-        ]
+        #: Pending cell IDs, front first.
+        self.queue: deque[str] = deque(c.cell_id for c in cells)
         #: cell_id -> live lease (at most one per cell *and* per worker).
         self.leases: dict[str, Lease] = {}
         #: cell_id -> total lease grants so far.
@@ -213,7 +196,6 @@ class SweepScheduler:
         self.rows: dict[str, dict] = {}
         self.errors: dict[str, dict] = {}
         self.events: list[dict] = []
-        self.steals = 0
         self.reclaims = 0
         self.duplicates = 0
         self._seq = 0
@@ -222,11 +204,6 @@ class SweepScheduler:
     @property
     def finished(self) -> bool:
         return len(self.rows) + len(self.errors) == len(self.cells)
-
-    @property
-    def outstanding(self) -> int:
-        """Cells not yet finished (queued or leased)."""
-        return len(self.cells) - len(self.rows) - len(self.errors)
 
     def lease_of(self, worker: str) -> Lease | None:
         for lease in self.leases.values():
@@ -246,94 +223,41 @@ class SweepScheduler:
         self.events.append(record)
         return record
 
-    # -- acquire / steal ----------------------------------------------
-    def acquire(
-        self, worker: str, worker_index: int, now: float
-    ) -> SweepCell | None:
-        """Grant ``worker`` a lease on its next cell, stealing if idle.
+    # -- acquire -----------------------------------------------------
+    def acquire(self, worker: str, now: float) -> SweepCell | None:
+        """Grant ``worker`` a lease on the front cell of the queue.
 
-        Pops from the worker's home queue (``worker_index mod
-        num_queues``) first; an empty home queue steals from the back
-        of the *longest* other queue (ties break to the lowest index —
-        victim selection is deterministic, a pure function of queue
-        lengths).  Returns ``None`` when no cell is runnable right now
-        (all queued work finished or leased elsewhere).
+        Returns ``None`` when no cell is runnable right now (all queued
+        work finished or leased elsewhere).
         """
         if self.lease_of(worker) is not None:
             raise ValueError(f"worker {worker!r} already holds a lease")
-        home = worker_index % self.num_queues
-        cell_id = self._pop(home)
-        stolen = False
-        if cell_id is None:
-            victim = self._victim(home)
-            if victim is not None:
-                cell_id = self._pop(victim, steal=True)
-                stolen = cell_id is not None
-        if cell_id is None:
+        if not self.queue:
             return None
+        cell_id = self.queue.popleft()
         attempt = self.attempts.get(cell_id, 0) + 1
         self.attempts[cell_id] = attempt
-        lease = Lease(
+        self.leases[cell_id] = Lease(
             cell_id=cell_id,
             worker=worker,
             attempt=attempt,
             granted_at=now,
             deadline=now + self.lease_seconds,
-            stolen=stolen,
         )
-        self.leases[cell_id] = lease
-        if stolen:
-            self.steals += 1
-        self._event(
-            "steal" if stolen else "lease",
-            cell_id=cell_id,
-            worker=worker,
-            attempt=attempt,
-        )
+        self._event("lease", cell_id=cell_id, worker=worker, attempt=attempt)
         return self.cells[cell_id]
 
-    def _pop(self, queue_index: int, steal: bool = False) -> str | None:
-        q = self.queues[queue_index]
-        while q:
-            # A thief takes from the back (the victim's coldest work);
-            # the owner drains from the front — the classic deque split.
-            cell_id = q.pop() if steal else q.popleft()
-            if cell_id not in self.rows and cell_id not in self.errors:
-                return cell_id
-        return None
-
-    def _victim(self, home: int) -> int | None:
-        best, best_len = None, 0
-        for i, q in enumerate(self.queues):
-            if i != home and len(q) > best_len:
-                best, best_len = i, len(q)
-        return best
-
-    # -- heartbeat / expiry -------------------------------------------
-    def heartbeat(self, worker: str, now: float) -> None:
-        """Extend the deadline of ``worker``'s lease (liveness signal)."""
-        lease = self.lease_of(worker)
-        if lease is not None:
-            self.leases[lease.cell_id] = Lease(
-                cell_id=lease.cell_id,
-                worker=lease.worker,
-                attempt=lease.attempt,
-                granted_at=lease.granted_at,
-                deadline=now + self.lease_seconds,
-                stolen=lease.stolen,
-            )
-
+    # -- expiry --------------------------------------------------------
     def reclaim_expired(self, now: float) -> list[str]:
         """Reclaim every lease whose deadline passed; requeue the cells.
 
         Expiry is indistinguishable from a wedged-or-dead worker, so it
-        is treated as a transient failure: the cell re-leases (home
-        queue of its next claimant) unless its attempt budget is
-        exhausted, in which case a synthetic ``LeaseExhausted``
-        transient error row records the casualty.  If the original
-        worker was merely slow and completes later, the late result is
-        still accepted (first result wins; the re-leased twin becomes a
-        counted duplicate).
+        is treated as a transient failure: the cell goes to the back of
+        the queue unless its attempt budget is exhausted, in which case
+        a synthetic ``LeaseExhausted`` transient error row records the
+        casualty.  If the original worker was merely slow and completes
+        later, the late result is still accepted (first result wins;
+        the re-leased twin becomes a counted duplicate).
         """
         expired = [
             lease for lease in self.leases.values() if lease.deadline <= now
@@ -403,18 +327,13 @@ class SweepScheduler:
                 error_type="LeaseExhausted",
             )
         else:
-            # Back of the cell's home-rank queue: the next claimant is
-            # whoever drains (or steals from) that queue first.
-            self._home_queue(lease.cell_id).append(lease.cell_id)
+            self.queue.append(lease.cell_id)
             self._event(
                 "requeue",
                 cell_id=lease.cell_id,
                 attempt=lease.attempt,
                 reason=reason,
             )
-
-    def _home_queue(self, cell_id: str) -> deque:
-        return self.queues[self._rank[cell_id] % self.num_queues]
 
     # -- completion / failure -----------------------------------------
     def complete(
@@ -437,8 +356,10 @@ class SweepScheduler:
             self.duplicates += 1
             self._event("duplicate", cell_id=cell_id, worker=worker)
             return None
-        self.leases.pop(cell_id, None)
-        self._purge(cell_id)
+        if self.leases.pop(cell_id, None) is None:
+            # Neither leased nor finished, so queued: a late result for
+            # a reclaimed cell.  Its pending retry is no longer needed.
+            self.queue.remove(cell_id)
         record = _cell_record(self.cells[cell_id], summary, attempts)
         self.rows[cell_id] = record
         self._event(
@@ -479,7 +400,6 @@ class SweepScheduler:
         del self.leases[cell_id]
         grants = self.attempts.get(cell_id, 1)
         if error.get("class") == "deterministic" or grants >= self.max_lease_attempts:
-            self._purge(cell_id)
             record = _error_record(self.cells[cell_id], error, attempts)
             self.errors[cell_id] = record
             self._event(
@@ -491,7 +411,7 @@ class SweepScheduler:
                 error_type=error.get("type", "Exception"),
             )
             return record
-        self._home_queue(cell_id).append(cell_id)
+        self.queue.append(cell_id)
         self._event(
             "requeue",
             cell_id=cell_id,
@@ -500,23 +420,15 @@ class SweepScheduler:
         )
         return None
 
-    def _purge(self, cell_id: str) -> None:
-        """Drop a now-finished cell from any queue it still sits in."""
-        for q in self.queues:
-            try:
-                q.remove(cell_id)
-            except ValueError:
-                pass
-
     # -- invariants (the property-test surface) -----------------------
     def check_invariants(self) -> None:
         """Assert the exactly-once partition; raises ``AssertionError``.
 
         Every cell is in exactly one of {queued, leased, row, error};
-        no cell is both row and error; queues hold no finished or
+        no cell is both row and error; the queue holds no finished or
         leased cells; every lease's attempt count is within budget.
         """
-        queued = [cid for q in self.queues for cid in q]
+        queued = list(self.queue)
         assert len(queued) == len(set(queued)), "cell queued twice"
         finished = set(self.rows) | set(self.errors)
         assert not (set(self.rows) & set(self.errors)), "cell is row AND error"
@@ -554,19 +466,18 @@ def _worker_main(conn, cell_fn, options: CellOptions, retries: int) -> None:
 @dataclass
 class _Worker:
     name: str
-    index: int
     process: object
     conn: object
 
     @classmethod
-    def spawn(cls, ctx, name: str, index: int, worker_args: tuple) -> "_Worker":
+    def spawn(cls, ctx, name: str, worker_args: tuple) -> "_Worker":
         parent, child = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main, args=(child, *worker_args), daemon=True
         )
         proc.start()
         child.close()  # the parent keeps only its own end
-        return cls(name=name, index=index, process=proc, conn=parent)
+        return cls(name=name, process=proc, conn=parent)
 
     def stop(self) -> None:
         try:
@@ -593,7 +504,6 @@ class SweepRunResult:
     skipped: list[str] = field(default_factory=list)
     #: Error records produced by this invocation.
     errors: list[dict] = field(default_factory=list)
-    steals: int = 0
     reclaims: int = 0
     duplicates: int = 0
     worker_deaths: int = 0
@@ -697,10 +607,9 @@ def run_scheduled(
     loses at most in-flight cells and a resume reuses the rest; a
     complete artifact is left byte-untouched.
 
-    ``serial=True`` runs the cells in this process (one queue, canonical
-    order; an exception that is not an ``Exception`` propagates to the
-    caller); otherwise ``num_workers`` processes each hold one lease at
-    a time.
+    ``serial=True`` runs the cells in this process (canonical order; an
+    exception that is not an ``Exception`` propagates to the caller);
+    otherwise ``num_workers`` processes each hold one lease at a time.
 
     Worker deaths (pipe EOF) reclaim the dead worker's lease and
     respawn a replacement; lease expiry (``lease_seconds``;
@@ -796,7 +705,6 @@ def run_scheduled(
 
     scheduler = SweepScheduler(
         pending,
-        workers_n,
         lease_seconds=lease_seconds,
         max_lease_attempts=max_lease_attempts,
     )
@@ -835,7 +743,6 @@ def run_scheduled(
             result.executed.append(record["cell_id"])
         fh.write_line(_dump(record))
         fh.flush()
-        progress.steals = scheduler.steals
         progress.reclaimed = scheduler.reclaims
         progress.cell_finished(error=error, attempts=attempts)
 
@@ -858,7 +765,7 @@ def run_scheduled(
                 _accept(record, error=True, attempts=record["attempts"])
 
     def _assign(worker: _Worker) -> None:
-        cell = scheduler.acquire(worker.name, worker.index, time.monotonic())
+        cell = scheduler.acquire(worker.name, time.monotonic())
         if cell is None:
             return
         try:
@@ -878,10 +785,8 @@ def run_scheduled(
         worker.process.join(timeout=1)
         fleet.pop(worker.name, None)
         if not scheduler.finished and not draining:
-            # Same slot, fresh process: the replacement inherits the
-            # home queue, so locality survives the respawn.
             name = f"{worker.name.split('+')[0]}+{deaths}"
-            fleet[name] = _Worker.spawn(ctx, name, worker.index, worker_args)
+            fleet[name] = _Worker.spawn(ctx, name, worker_args)
             _assign(fleet[name])
 
     def _check_drain() -> bool:
@@ -895,7 +800,7 @@ def run_scheduled(
         return draining
 
     def _run_inline() -> None:
-        while (cell := scheduler.acquire("w0", 0, time.monotonic())) is not None:
+        while (cell := scheduler.acquire("w0", time.monotonic())) is not None:
             outcome = _guarded_cell(cell_fn, (cell, options), retries)
             _report("w0", cell.cell_id, *outcome)
             _drain_events()
@@ -906,7 +811,7 @@ def run_scheduled(
         if _check_drain():
             return  # latched before the run: spawn nothing, lease nothing
         for i in range(workers_n):
-            fleet[f"w{i}"] = _Worker.spawn(ctx, f"w{i}", i, worker_args)
+            fleet[f"w{i}"] = _Worker.spawn(ctx, f"w{i}", worker_args)
         for worker in list(fleet.values()):
             _assign(worker)
         while not scheduler.finished:
@@ -949,7 +854,6 @@ def run_scheduled(
         _drain_events()
         events.close()
 
-    result.steals = progress.steals = scheduler.steals
     result.reclaims = progress.reclaimed = scheduler.reclaims
     result.duplicates = scheduler.duplicates
     result.worker_deaths = deaths

@@ -651,14 +651,6 @@ class ShardArtifact:
     def error_rows(self) -> list[dict]:
         return [r for r in self.records if r.get("kind") == CELL_ERROR_KIND]
 
-    @property
-    def telemetry_snapshot(self) -> dict | None:
-        """The shard-level merged snapshot (last trailer wins)."""
-        for record in reversed(self.records):
-            if record.get("kind") == SHARD_TELEMETRY_KIND:
-                return record["snapshot"]
-        return None
-
 
 def load_artifact(path) -> ShardArtifact:
     """Parse a shard artifact, tolerating a torn final line.

@@ -93,11 +93,10 @@ class ShardStatusWriter:
         self.failed = 0
         self.retried = 0
         self.resumed = 0
-        #: Scheduler-only counters (stay 0 under static sharding): cells
-        #: a worker took from another home queue, and leases reclaimed
-        #: from expired/dead workers.  Additive keys — STATUS_SCHEMA is
-        #: unchanged because readers of schema 1 ignore unknown keys.
-        self.steals = 0
+        #: Scheduler-only counter (stays 0 under static sharding): leases
+        #: reclaimed from expired/dead workers.  An additive key —
+        #: STATUS_SCHEMA is unchanged because readers of schema 1 ignore
+        #: unknown keys.
         self.reclaimed = 0
         self.ewma_cell_seconds: float | None = None
         self._rows: list[dict] = []
@@ -160,7 +159,6 @@ class ShardStatusWriter:
             "failed": self.failed,
             "retried": self.retried,
             "resumed": self.resumed,
-            "steals": self.steals,
             "reclaimed": self.reclaimed,
             "ewma_cell_seconds": self.ewma_cell_seconds,
             "eta_seconds": eta,

@@ -76,13 +76,6 @@ class NeighborTable:
     d_bs: np.ndarray | None = None
     broadcasts: int = 0
 
-    def index_of(self, head: int) -> int:
-        """Position of ``head`` in :attr:`heads` (raises if absent)."""
-        pos = int(np.searchsorted(self.heads, head))
-        if pos >= self.heads.size or self.heads[pos] != head:
-            raise KeyError(f"node {head} is not in this round's overlay")
-        return pos
-
 
 def discover(
     state: NetworkState,

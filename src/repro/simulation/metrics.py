@@ -131,12 +131,6 @@ class SimulationResult:
     def mean_latency(self) -> float:
         return self.packets.mean_latency
 
-    @property
-    def energy_per_delivered_packet(self) -> float:
-        if self.packets.delivered == 0:
-            return float("inf")
-        return self.total_energy / self.packets.delivered
-
     def energy_balance_index(self) -> float:
         """Jain's fairness index over per-node consumption ratios —
         quantifies Fig. 4's "evenly distributed" claim (1.0 = perfectly
@@ -146,12 +140,6 @@ class SimulationResult:
         if denom <= 0.0:
             return 1.0
         return float(c.sum()) ** 2 / denom
-
-    def consumption_spread(self) -> tuple[float, float]:
-        """(mean, std) of the per-node consumption ratio."""
-        return float(self.consumption_ratio.mean()), float(
-            self.consumption_ratio.std()
-        )
 
     def summary(self) -> dict:
         """Flat dict for tabulation."""

@@ -182,6 +182,9 @@ class TraceRecorder:
 
     @classmethod
     def load_jsonl(cls, path) -> "TraceRecorder":
-        """Read a dump written by :meth:`write_jsonl`."""
+        """Read a dump written by :meth:`write_jsonl`.
+
+        Documented public API (``docs/observability.md``), kept though
+        nothing in the package calls it."""
         with open(path, encoding="utf-8") as fh:
             return cls.parse_jsonl(fh.read())

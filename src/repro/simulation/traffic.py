@@ -73,7 +73,3 @@ class PoissonTraffic:
         counts = counts[producing]
         self.total_generated += int(counts.sum())
         return idx[producing], counts
-
-    def expected_per_round(self, n_active: int) -> float:
-        """Mean offered load (packets/round) for ``n_active`` sources."""
-        return n_active * self.config.slots_per_round * self.config.rate_per_slot

@@ -120,7 +120,7 @@ def shard_manifest(
     ``shard`` is 1-based (``shard/num_shards`` mirrors the CLI's
     ``--shard k/K``); the pair ``(0, 0)`` is reserved for *merged*
     artifacts, which cover an arbitrary subset of the grid rather than
-    one hash-assigned shard — the work-stealing scheduler writes its
+    one hash-assigned shard — the lease scheduler writes its
     whole-grid artifact under that marker, with its run parameters in
     an ``extra={"scheduler": ...}`` block.  ``extra`` keys must not
     shadow the core keys (same rule as :func:`run_manifest`), and they

@@ -35,7 +35,6 @@ class TestPairedComparison:
 
     def test_significance_when_consistent(self):
         cmp = paired_comparison(synthetic_sweep(), "pdr", "a", "b")
-        assert cmp.significant
         assert cmp.ci_lo > 0.0
         assert cmp.p_value < 0.01
 
@@ -59,7 +58,6 @@ class TestPairedComparison:
         cmp = paired_comparison(SweepResult(rows=rows), "pdr", "a", "b")
         assert cmp.ties == 1
         assert cmp.p_value == 1.0
-        assert not cmp.significant
 
     def test_missing_pairs_rejected(self):
         rows = [{"protocol": "a", "seed": 0, "lambda": 4.0, "pdr": 0.5}]

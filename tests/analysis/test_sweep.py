@@ -65,10 +65,6 @@ class TestSweep:
         assert set(s) == {"direct", "kmeans"}
         assert len(s["direct"]) == 2
 
-    def test_aggregate_ci(self, sweep):
-        ci = sweep.aggregate_ci("pdr", "direct", 4.0)
-        assert ci.n == 2
-
     def test_failed_cell_raises(self):
         with pytest.raises(RuntimeError, match="1 sweep cell.*nope"):
             sweep_protocols(

@@ -11,6 +11,7 @@ import json
 import pickle
 import sys
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import PROTOCOLS
@@ -36,6 +37,7 @@ from repro.kernels import (
     ProfiledBackend,
     get_backend,
 )
+from repro.network.mobility import MobilityConfig
 from repro.network.packet import PacketCounts
 from repro.simulation import SimulationEngine, build_scenario
 from repro.telemetry import SpanTracer, Telemetry
@@ -182,6 +184,31 @@ class TestLiveStateEncoding:
         write_checkpoint(engine, path)
         state = read_checkpoint(path)[1].state
         assert state.ledger._initial is state.nodes.initial_energy
+
+    def test_mobility_step_keeps_one_initial_energy_array(self, tmp_path):
+        config = paper_config(seed=4).replace(
+            mobility=MobilityConfig(speed=10.0)
+        )
+        engine = SimulationEngine(config, PROTOCOLS["qlec"]())
+        start = engine.state.nodes.positions
+        for _ in range(2):
+            engine.run_round()
+        state = engine.state
+        assert not np.array_equal(state.nodes.positions, start)  # moved
+        assert np.shares_memory(state.ledger._initial, state.nodes.initial_energy)
+        shared = len(pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL))
+        state.ledger._initial = state.ledger._initial.copy()
+        apart = len(pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL))
+        assert apart - shared >= 8 * state.n
+        # A resumed run keeps sharing through its next mobility step.
+        path = tmp_path / f"run-r00000002{CHECKPOINT_SUFFIX}"
+        state.ledger._initial = state.nodes.initial_energy
+        write_checkpoint(engine, path)
+        resumed = read_checkpoint(path)[1]
+        resumed.run_round()
+        assert np.shares_memory(
+            resumed.state.ledger._initial, resumed.state.nodes.initial_energy
+        )
 
 
 class TestSnapshotCost:

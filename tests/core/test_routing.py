@@ -259,7 +259,7 @@ class TestTiledQBlock:
         _, router = busy_router(True)
         empty = np.array([], dtype=np.intp)
         q_want, _, t_want = one_shot_q_block(router, SENDERS, empty)
-        q, targets = router.q_values_many(SENDERS, empty)
+        q, _, targets = router._q_block(SENDERS, empty)
         assert q.shape == (SENDERS.size, 1)
         assert q.tobytes() == q_want.tobytes()
         assert targets.tobytes() == t_want.tobytes()

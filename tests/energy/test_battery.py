@@ -83,16 +83,14 @@ class TestDischarge:
         led.discharge(0, 0.1, "tx")
         led.discharge(1, 0.2, "rx")
         led.discharge(2, 0.05, "da")
-        assert led.spent_tx + led.spent_rx + led.spent_da == pytest.approx(
-            led.total_consumed
-        )
+        assert led.total_spent == pytest.approx(0.35)
+        assert led.total_residual == pytest.approx(5.0 - 0.35)
 
     def test_clipped_discharge_records_actual_spend(self):
         """When a node floors at zero, only the real joules count."""
         led = make_ledger(initial=0.3)
         led.discharge(0, 1.0, "tx")
         assert led.spent_tx == pytest.approx(0.3)
-        assert led.total_consumed == pytest.approx(0.3)
 
 
 class TestDerived:
@@ -141,9 +139,6 @@ class TestInvariants:
             assert np.all(cur >= 0.0)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
-        assert led.total_consumed == pytest.approx(
-            led.total_initial - led.total_residual
-        )
 
 
 def _ledger_state(led):

@@ -51,7 +51,7 @@ class TestRecharge:
         led.discharge(0, 0.4, "tx")
         led.recharge(0.4)
         assert led.total_spent == pytest.approx(0.4)   # gross
-        assert led.total_consumed == pytest.approx(0.0)  # net
+        assert led.total_residual == pytest.approx(1.0)  # net
 
 
 class TestHarvesters:

@@ -73,16 +73,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="backoff_base"):
             FaultPlan(backoff_base=-1)
 
-    def test_last_round_covers_windows(self):
-        plan = FaultPlan(
-            events=(
-                FaultEvent(kind="crash", round=2, nodes=(0,)),
-                FaultEvent(kind="blackout", round=1, duration=4),
-            ),
-        )
-        assert plan.last_round() == 5
-
-
 class TestSerialisation:
     PLAN = FaultPlan(
         events=(
@@ -130,9 +120,9 @@ class TestCatalog:
         plan = build_fault_plan(name, config)
         assert isinstance(plan, FaultPlan)
         assert plan.events
-        assert plan.last_round() <= config.rounds
         for ev in plan.events:
             assert ev.kind in EVENT_KINDS
+            assert ev.round + ev.duration <= config.rounds  # window ends
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown fault scenario"):

@@ -57,15 +57,6 @@ class TestNodeArray:
         ids = [n.node_id for n in grid_nodes(5)]
         assert ids == list(range(5))
 
-    def test_distances_to_point(self):
-        nodes = grid_nodes(3)
-        d = nodes.distances_to(np.array([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(d, [0.0, 1.0, 2.0])
-
-    def test_distances_to_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            grid_nodes().distances_to(np.zeros(2))
-
     def test_source_array_mutation_does_not_leak(self):
         pos = np.zeros((2, 3))
         nodes = NodeArray(pos, 1.0)

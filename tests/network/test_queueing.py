@@ -32,13 +32,13 @@ class TestQueueBank:
         bank = make_bank([3], capacity=1)
         accepted = offer(bank, [0, 0], [11, 22])
         assert accepted.tolist() == [True, False]
-        assert bank.queue_length(3) == 1
+        assert bank.lengths.tolist() == [1]
 
     def test_zero_capacity_rejects_everything(self):
         bank = make_bank([3], capacity=0)
         accepted = offer(bank, [0], [11])
         assert accepted.tolist() == [False]
-        assert bank.total_queued == 0
+        assert bank.lengths.tolist() == [0]
 
     def test_serve_limited_per_queue(self):
         bank = make_bank([3, 7], capacity=10)
@@ -54,7 +54,7 @@ class TestQueueBank:
         pos, served = bank.serve_batch(5, serve_mask=np.array([True, False]))
         assert pos.tolist() == [0]
         assert served.tolist() == [1]
-        assert bank.queue_length(7) == 1
+        assert bank.lengths.tolist() == [0, 1]
 
     def test_serve_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestQueueBank:
         offer(bank, [0, 0, 0], [1, 2, 3])
         _, drained = bank.drain_all()
         assert drained.tolist() == [1, 2, 3]
-        assert bank.total_queued == 0
+        assert bank.lengths.tolist() == [0]
 
     def test_peak_length_tracks_high_water(self):
         bank = make_bank([3], capacity=10)
@@ -83,19 +83,9 @@ class TestQueueBank:
         assert 3 in bank and 5 in bank and 7 not in bank
         assert bank.position(np.array([3, 5, 7])).tolist() == [0, 1, -1]
 
-    def test_queue_length_unknown_head_is_zero(self):
-        bank = make_bank([1], capacity=1)
-        assert bank.queue_length(99) == 0
-
-    def test_total_queued(self):
-        bank = make_bank([1, 2], capacity=5)
-        offer(bank, [0, 1, 1], [10, 20, 30])
-        assert bank.total_queued == 3
-
     def test_numpy_int_keys(self):
         bank = make_bank(np.array([4, 6]), capacity=2)
         assert 4 in bank
-        assert bank.queue_length(np.int64(4)) == 0
 
     def test_ring_wraps_and_widens(self):
         """Interleaved offer/serve cycles wrap the ring; deep backlog

@@ -1,8 +1,8 @@
-"""Unit tests for the work-stealing lease scheduler state machine.
+"""Unit tests for the lease scheduler state machine.
 
 These drive :class:`repro.parallel.scheduler.SweepScheduler` directly —
 no processes, injected clock — so every lifecycle transition (lease,
-steal, requeue, reclaim, duplicate, exhaustion) is pinned in isolation.
+requeue, reclaim, duplicate, exhaustion) is pinned in isolation.
 The process driver's integration surface lives in
 ``test_scheduler_chaos.py``; the exactly-once guarantee under random
 interleavings in ``test_scheduler_properties.py``.
@@ -22,11 +22,9 @@ from repro.parallel.scheduler import (
 )
 from repro.parallel.sharding import (
     CELL_ERROR_KIND,
-    CELL_KIND,
     SweepCell,
     SweepSpec,
     load_artifact,
-    partition_cells,
 )
 from repro.telemetry.jsonl import read_jsonl_tolerant
 
@@ -36,40 +34,30 @@ def make_cells(n: int) -> list[SweepCell]:
     return [SweepCell("proto", paper_config(seed=i)) for i in range(n)]
 
 
-def drain(sched: SweepScheduler, worker="w0", index=0, now=0.0):
+def drain(sched: SweepScheduler, worker="w0", now=0.0):
     """Run every remaining cell to completion through one worker."""
     while True:
-        cell = sched.acquire(worker, index, now)
+        cell = sched.acquire(worker, now)
         if cell is None:
             return
         sched.complete(worker, cell.cell_id, {"v": cell.seed}, 1, now)
 
 
 class TestConstruction:
-    def test_home_queues_match_partition(self):
-        cells = make_cells(7)
-        sched = SweepScheduler(cells, 3)
-        expected = [
-            [c.cell_id for c in q] for q in partition_cells(cells, 3)
-        ]
-        assert [list(q) for q in sched.queues] == expected
-
     def test_validation(self):
         cells = make_cells(2)
-        with pytest.raises(ValueError, match="num_queues"):
-            SweepScheduler(cells, 0)
         with pytest.raises(ValueError, match="lease_seconds"):
-            SweepScheduler(cells, 1, lease_seconds=0)
+            SweepScheduler(cells, lease_seconds=0)
         with pytest.raises(ValueError, match="max_lease_attempts"):
-            SweepScheduler(cells, 1, max_lease_attempts=0)
+            SweepScheduler(cells, max_lease_attempts=0)
         with pytest.raises(ValueError, match="duplicate"):
-            SweepScheduler(cells + cells[:1], 1)
+            SweepScheduler(cells + cells[:1])
 
 
 class TestLeaseLifecycle:
     def test_acquire_complete_exactly_once(self):
         cells = make_cells(4)
-        sched = SweepScheduler(cells, 2)
+        sched = SweepScheduler(cells)
         drain(sched)
         assert sched.finished
         assert set(sched.rows) == {c.cell_id for c in cells}
@@ -77,49 +65,74 @@ class TestLeaseLifecycle:
         sched.check_invariants()
 
     def test_worker_cannot_hold_two_leases(self):
-        sched = SweepScheduler(make_cells(3), 1)
-        sched.acquire("w0", 0, 0.0)
+        sched = SweepScheduler(make_cells(3))
+        sched.acquire("w0", 0.0)
         with pytest.raises(ValueError, match="already holds"):
-            sched.acquire("w0", 0, 0.0)
+            sched.acquire("w0", 0.0)
 
     def test_acquire_exhausted_returns_none(self):
-        sched = SweepScheduler(make_cells(1), 1)
-        cell = sched.acquire("w0", 0, 0.0)
-        assert sched.acquire("w1", 0, 0.0) is None  # only cell is leased
+        sched = SweepScheduler(make_cells(1))
+        cell = sched.acquire("w0", 0.0)
+        assert sched.acquire("w1", 0.0) is None  # only cell is leased
         sched.complete("w0", cell.cell_id, {}, 1, 0.0)
-        assert sched.acquire("w1", 0, 0.0) is None  # grid finished
+        assert sched.acquire("w1", 0.0) is None  # grid finished
 
-    def test_steal_takes_from_back_of_longest_queue(self):
-        cells = make_cells(9)
-        sched = SweepScheduler(cells, 3)
-        # Drain w0's home queue in owner order (front first)...
-        home = [c.cell_id for c in partition_cells(cells, 3)[0]]
-        for expected_id in home:
-            cell = sched.acquire("w0", 0, 0.0)
-            assert cell.cell_id == expected_id
-            sched.complete("w0", cell.cell_id, {}, 1, 0.0)
-        # ...then lease one cell off queue 1 so queue 2 is strictly
-        # longest: the steal must take queue 2's *back* element.
-        sched.acquire("w1", 1, 0.0)
-        expected = sched.queues[2][-1]
-        cell = sched.acquire("w0", 0, 0.0)
-        assert cell.cell_id == expected
-        assert sched.leases[cell.cell_id].stolen
-        assert sched.steals == 1
+
+class TestOneQueue:
+    def test_any_worker_order_gets_canonical_order(self):
+        cells = make_cells(6)
+        sched = SweepScheduler(cells)
+        granted = []
+        for worker in ("w2", "w0", "w1", "w0", "w3", "w2"):
+            cell = sched.acquire(worker, 0.0)
+            granted.append(cell.cell_id)
+            sched.complete(worker, cell.cell_id, {}, 1, 0.0)
+        assert granted == [c.cell_id for c in cells]
+        assert sched.finished
+
+    @pytest.mark.parametrize(
+        "requeue", ["transient-failure", "lease-expired", "worker-lost"]
+    )
+    def test_requeued_cell_comes_back_after_everything_queued(
+        self, requeue
+    ):
+        cells = make_cells(5)
+        sched = SweepScheduler(cells, lease_seconds=10.0)
+        first = sched.acquire("w0", 0.0)
+        sched.acquire("w1", 5.0)  # held across the requeue
+        if requeue == "transient-failure":
+            err = {"type": "OSError", "message": "flaky", "class": "transient"}
+            assert sched.fail("w0", first.cell_id, err, 1, 6.0) is None
+        elif requeue == "lease-expired":
+            assert sched.reclaim_expired(10.0) == [first.cell_id]
+        else:
+            sched.worker_lost("w0", 6.0)
         sched.check_invariants()
+        assert list(sched.queue) == [
+            c.cell_id for c in cells[2:]
+        ] + [first.cell_id]
+        sched.complete("w1", cells[1].cell_id, {}, 1, 11.0)
+        granted = []
+        while (cell := sched.acquire("w2", 11.0)) is not None:
+            granted.append(cell.cell_id)
+            sched.complete("w2", cell.cell_id, {}, 1, 11.0)
+        assert granted == [c.cell_id for c in cells[2:]] + [first.cell_id]
+        assert sched.attempts[first.cell_id] == 2
 
-    def test_heartbeat_extends_deadline(self):
-        sched = SweepScheduler(make_cells(1), 1, lease_seconds=10.0)
-        cell = sched.acquire("w0", 0, 0.0)
-        assert sched.leases[cell.cell_id].deadline == 10.0
-        sched.heartbeat("w0", 5.0)
-        assert sched.leases[cell.cell_id].deadline == 15.0
+    def test_late_result_withdraws_the_queued_retry(self):
+        cells = make_cells(3)
+        sched = SweepScheduler(cells, lease_seconds=1.0)
+        first = sched.acquire("w0", 0.0)
+        sched.reclaim_expired(2.0)
+        assert sched.complete("w0", first.cell_id, {}, 1, 2.5) is not None
+        assert first.cell_id not in sched.queue
+        sched.check_invariants()
 
 
 class TestFailures:
     def test_deterministic_failure_is_final_and_never_requeued(self):
-        sched = SweepScheduler(make_cells(1), 1, max_lease_attempts=3)
-        cell = sched.acquire("w0", 0, 0.0)
+        sched = SweepScheduler(make_cells(1), max_lease_attempts=3)
+        cell = sched.acquire("w0", 0.0)
         record = sched.fail(
             "w0", cell.cell_id,
             {"type": "ValueError", "message": "bad", "class": "deterministic"},
@@ -132,14 +145,14 @@ class TestFailures:
         sched.check_invariants()
 
     def test_transient_failure_requeues_until_exhausted(self):
-        sched = SweepScheduler(make_cells(1), 1, max_lease_attempts=3)
+        sched = SweepScheduler(make_cells(1), max_lease_attempts=3)
         err = {"type": "OSError", "message": "flaky", "class": "transient"}
         for attempt in (1, 2):
-            cell = sched.acquire("w0", 0, 0.0)
+            cell = sched.acquire("w0", 0.0)
             assert sched.leases[cell.cell_id].attempt == attempt
             assert sched.fail("w0", cell.cell_id, err, 1, 0.0) is None
             sched.check_invariants()
-        cell = sched.acquire("w0", 0, 0.0)
+        cell = sched.acquire("w0", 0.0)
         record = sched.fail("w0", cell.cell_id, err, 1, 0.0)
         assert record is not None and sched.finished
         requeues = [e for e in sched.events if e["event"] == "requeue"]
@@ -148,8 +161,8 @@ class TestFailures:
     def test_stale_failure_report_is_dropped(self):
         # w0's lease expires and the cell re-queues; w0's late failure
         # report must not queue the cell a second time.
-        sched = SweepScheduler(make_cells(1), 1, lease_seconds=1.0)
-        cell = sched.acquire("w0", 0, 0.0)
+        sched = SweepScheduler(make_cells(1), lease_seconds=1.0)
+        cell = sched.acquire("w0", 0.0)
         assert sched.reclaim_expired(2.0) == [cell.cell_id]
         err = {"type": "OSError", "message": "late", "class": "transient"}
         assert sched.fail("w0", cell.cell_id, err, 1, 2.5) is None
@@ -158,12 +171,12 @@ class TestFailures:
         )] == ["stale-failure"]
         sched.check_invariants()
         # The requeued cell is still runnable exactly once.
-        again = sched.acquire("w1", 0, 3.0)
+        again = sched.acquire("w1", 3.0)
         assert again.cell_id == cell.cell_id
-        assert sched.acquire("w2", 0, 3.0) is None
+        assert sched.acquire("w2", 3.0) is None
 
     def test_unknown_cell_rejected(self):
-        sched = SweepScheduler(make_cells(1), 1)
+        sched = SweepScheduler(make_cells(1))
         with pytest.raises(ValueError, match="unknown cell"):
             sched.complete("w0", "f" * 16, {}, 1, 0.0)
         with pytest.raises(ValueError, match="unknown cell"):
@@ -172,29 +185,29 @@ class TestFailures:
 
 class TestReclaim:
     def test_worker_lost_requeues_its_cell(self):
-        sched = SweepScheduler(make_cells(2), 1)
-        cell = sched.acquire("w0", 0, 0.0)
+        sched = SweepScheduler(make_cells(2))
+        cell = sched.acquire("w0", 0.0)
         sched.worker_lost("w0", 1.0)
         assert sched.reclaims == 1
         assert cell.cell_id not in sched.leases
         sched.check_invariants()
         # Another worker picks the cell back up.
         ids = set()
-        while (got := sched.acquire("w1", 0, 2.0)) is not None:
+        while (got := sched.acquire("w1", 2.0)) is not None:
             ids.add(got.cell_id)
             sched.complete("w1", got.cell_id, {}, 1, 2.0)
         assert cell.cell_id in ids and sched.finished
 
     def test_worker_lost_without_lease_is_recorded_only(self):
-        sched = SweepScheduler(make_cells(1), 1)
+        sched = SweepScheduler(make_cells(1))
         sched.worker_lost("w9", 0.0)
         assert sched.reclaims == 0
         assert [e["event"] for e in sched.events] == ["worker-dead"]
 
     def test_reclaim_exhaustion_synthesises_error_row(self):
-        sched = SweepScheduler(make_cells(1), 1, max_lease_attempts=2)
+        sched = SweepScheduler(make_cells(1), max_lease_attempts=2)
         for _ in range(2):
-            cell = sched.acquire("w0", 0, 0.0)
+            cell = sched.acquire("w0", 0.0)
             sched.worker_lost("w0", 1.0)
         assert sched.finished
         record = sched.errors[cell.cell_id]
@@ -206,10 +219,10 @@ class TestReclaim:
         # The original worker was slow, not dead: its result arrives
         # after the reclaim but before the re-leased twin finishes.
         # First result wins; the twin's copy is a counted duplicate.
-        sched = SweepScheduler(make_cells(1), 2, lease_seconds=1.0)
-        cell = sched.acquire("w0", 0, 0.0)
+        sched = SweepScheduler(make_cells(1), lease_seconds=1.0)
+        cell = sched.acquire("w0", 0.0)
         sched.reclaim_expired(2.0)
-        again = sched.acquire("w1", 1, 2.0)
+        again = sched.acquire("w1", 2.0)
         assert again.cell_id == cell.cell_id
         assert sched.complete("w0", cell.cell_id, {"v": 1}, 1, 2.5) is not None
         assert sched.complete("w1", cell.cell_id, {"v": 1}, 1, 3.0) is None

@@ -2,15 +2,15 @@
 
 Hypothesis drives the pure :class:`SweepScheduler` state machine
 through random interleavings of every operation it exposes — leases,
-steals, completions, transient and deterministic failures, worker
-deaths, lease expiry, heartbeats, *and* adversarial stale reports from
-workers whose leases were reclaimed — asserting the exactly-once
-partition invariant after every single step, then driving the grid to
-completion and checking that every cell finished exactly once.
+completions, transient and deterministic failures, worker deaths, lease
+expiry, *and* adversarial stale reports from workers whose leases were
+reclaimed — asserting the exactly-once partition invariant after every
+single step, then driving the grid to completion and checking that
+every cell finished exactly once.
 
 This is the paper-level guarantee the chaos suite samples and this
-suite exhausts: no interleaving of steals, reclaims, and duplicate
-leases can lose a cell or finish one twice.
+suite exhausts: no interleaving of reclaims and duplicate leases can
+lose a cell or finish one twice.
 """
 
 from hypothesis import given, settings
@@ -33,7 +33,6 @@ OPS = (
     "stale-fail",
     "worker-lost",
     "expire-all",
-    "heartbeat",
 )
 
 
@@ -48,7 +47,7 @@ def finish_serially(sched: SweepScheduler, clock: float) -> None:
         clock += sched.lease_seconds + 1.0
         sched.reclaim_expired(clock)
         sched.check_invariants()
-        while (cell := sched.acquire("closer", 0, clock)) is not None:
+        while (cell := sched.acquire("closer", clock)) is not None:
             sched.complete("closer", cell.cell_id, {"v": 1}, 1, clock)
             sched.check_invariants()
 
@@ -56,18 +55,16 @@ def finish_serially(sched: SweepScheduler, clock: float) -> None:
 class TestExactlyOnce:
     @given(
         n_cells=st.integers(min_value=1, max_value=8),
-        num_queues=st.integers(min_value=1, max_value=4),
         max_attempts=st.integers(min_value=1, max_value=3),
         data=st.data(),
     )
     @settings(max_examples=120, deadline=None)
     def test_any_interleaving_yields_exactly_once_rows(
-        self, n_cells, num_queues, max_attempts, data
+        self, n_cells, max_attempts, data
     ):
         cells = make_cells(n_cells)
         sched = SweepScheduler(
             cells,
-            num_queues,
             lease_seconds=10.0,
             max_lease_attempts=max_attempts,
         )
@@ -81,9 +78,7 @@ class TestExactlyOnce:
             worker = data.draw(st.sampled_from(WORKERS), label=op)
             held = sched.lease_of(worker)
             if op == "acquire" and held is None:
-                sched.acquire(worker, data.draw(
-                    st.integers(0, 3), label="index"
-                ), clock)
+                sched.acquire(worker, clock)
             elif op == "complete" and held is not None:
                 sched.complete(worker, held.cell_id, {"v": 1}, 1, clock)
             elif op == "fail-transient" and held is not None:
@@ -120,8 +115,6 @@ class TestExactlyOnce:
             elif op == "expire-all":
                 clock += sched.lease_seconds + 1.0
                 sched.reclaim_expired(clock)
-            elif op == "heartbeat":
-                sched.heartbeat(worker, clock)
             sched.check_invariants()
 
         finish_serially(sched, clock)
@@ -140,29 +133,34 @@ class TestExactlyOnce:
 
     @given(
         n_cells=st.integers(min_value=1, max_value=10),
-        num_queues=st.integers(min_value=1, max_value=5),
+        order=st.permutations(WORKERS),
     )
     @settings(max_examples=60, deadline=None)
     def test_pure_drain_completes_every_cell_without_duplicates(
-        self, n_cells, num_queues
+        self, n_cells, order
     ):
         # The no-chaos baseline: a fleet of greedy workers draining the
-        # queues (with steals) finishes the grid exactly once.
-        sched = SweepScheduler(make_cells(n_cells), num_queues)
+        # queue finishes the grid exactly once, in canonical order,
+        # whichever worker asks first.
+        cells = make_cells(n_cells)
+        sched = SweepScheduler(cells)
         clock = 0.0
+        granted = []
         while not sched.finished:
             clock += 1.0
             progressed = False
-            for i, worker in enumerate(WORKERS):
+            for worker in order:
                 if sched.lease_of(worker) is not None:
                     continue
-                cell = sched.acquire(worker, i, clock)
+                cell = sched.acquire(worker, clock)
                 if cell is None:
                     continue
                 progressed = True
+                granted.append(cell.cell_id)
                 sched.complete(worker, cell.cell_id, {"v": 1}, 1, clock)
                 sched.check_invariants()
             assert progressed, "scheduler wedged with work outstanding"
+        assert granted == [c.cell_id for c in cells]
         assert len(sched.rows) == n_cells
         assert sched.duplicates == 0
         assert not sched.errors

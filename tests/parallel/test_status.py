@@ -203,12 +203,10 @@ class TestSchedulerStatus:
             wall=lambda: 1754650000.0,
         )
         w.start()
-        w.steals = 3
         w.reclaimed = 1
         w.cell_finished()
         row = load_status(w.path)
         assert (row["shard"], row["num_shards"]) == (0, 0)
-        assert row["steals"] == 3
         assert row["reclaimed"] == 1
 
     def test_run_scheduled_writes_live_sidecar(self, tmp_path):
@@ -220,7 +218,6 @@ class TestSchedulerStatus:
         assert status["state"] == "complete"
         assert status["done"] == len(SPEC)
         assert status["failed"] == 0
-        assert status["steals"] == result.steals
         assert status["reclaimed"] == result.reclaims
         assert (status["shard"], status["num_shards"]) == (0, 0)
 

@@ -2,7 +2,6 @@
 plane, and the member/member-network views cluster-tree parents use."""
 
 import numpy as np
-import pytest
 
 from repro.core import QLECProtocol
 from repro.routing import NeighborTable, discover
@@ -52,10 +51,11 @@ class TestDiscovery:
         state = make_state(seed=1)
         heads = elect_heads(state)
         table = discover(state, heads, range_factor=1.0, hello_bits=256)
+        row = {int(h): i for i, h in enumerate(table.heads)}
         for h, nbrs in table.neighbors.items():
-            i = table.index_of(h)
+            i = row[h]
             for n in nbrs:
-                j = table.index_of(int(n))
+                j = row[int(n)]
                 assert table.dist[i, j] <= table.radio_range
                 assert h in table.neighbors[int(n)]
             assert h not in set(int(n) for n in nbrs)
@@ -132,16 +132,6 @@ class TestDiscovery:
         )
         assert table.heads.size == 0
         assert table.broadcasts == 0
-        with pytest.raises(KeyError):
-            table.index_of(0)
-
-    def test_index_of_rejects_non_overlay_nodes(self):
-        state = make_state(seed=9)
-        heads = elect_heads(state)
-        table = discover(state, heads, range_factor=1.0, hello_bits=256)
-        outsider = int(np.setdiff1d(np.arange(state.n), table.heads)[0])
-        with pytest.raises(KeyError):
-            table.index_of(outsider)
 
     def test_table_is_a_plain_dataclass(self):
         table = NeighborTable(heads=np.empty(0, dtype=np.intp), radio_range=1.0)

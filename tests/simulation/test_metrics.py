@@ -44,14 +44,6 @@ class TestDerivedMetrics:
         assert r.lifespan == 7
         assert not r.lifespan_censored
 
-    def test_energy_per_delivered(self):
-        r = make_result(total_energy=4.0)
-        assert r.energy_per_delivered_packet == pytest.approx(0.5)
-
-    def test_energy_per_delivered_inf_when_silent(self):
-        r = make_result(packets=PacketStats(generated=0, delivered=0))
-        assert r.energy_per_delivered_packet == float("inf")
-
     def test_balance_index_uniform_is_one(self):
         r = make_result(consumption_ratio=np.full(5, 0.2))
         assert r.energy_balance_index() == pytest.approx(1.0)
@@ -61,12 +53,6 @@ class TestDerivedMetrics:
         c[0] = 1.0
         r = make_result(consumption_ratio=c)
         assert r.energy_balance_index() == pytest.approx(0.1)
-
-    def test_consumption_spread(self):
-        r = make_result(consumption_ratio=np.array([0.0, 0.2]))
-        mean, std = r.consumption_spread()
-        assert mean == pytest.approx(0.1)
-        assert std == pytest.approx(0.1)
 
     def test_summary_keys(self):
         s = make_result().summary()

@@ -68,11 +68,6 @@ class TestArrivals:
 
 
 class TestExpectedLoad:
-    def test_expected_per_round(self):
-        traffic = make_traffic(lam=4.0)
-        # 10 slots default, rate 0.25 -> 2.5 packets per node per round.
-        assert traffic.expected_per_round(10) == pytest.approx(25.0)
-
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             PoissonTraffic(TrafficConfig(), 0, np.random.default_rng(0))
