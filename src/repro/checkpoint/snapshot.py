@@ -43,8 +43,8 @@ has run: the packet arena stores its free stack and live rows, the
 source buffers their non-empty nodes, and the energy ledger shares the
 nodes' initial energies.  Right after a restore the engine pickles
 back to the bytes it was read from.
-``scripts/check_checkpoint_equivalence.py`` enforces the guarantee
-end-to-end in CI: SIGKILL at an arbitrary round (including a congested
+``tests/checkpoint/test_snapshot.py`` tests the guarantee
+end-to-end: SIGKILL at an arbitrary round (including a congested
 run with packets buffered at the snapshot), resume, and the final
 result, golden trace, run-total latency sample, and telemetry
 deterministic-view match the uninterrupted run bit for bit.

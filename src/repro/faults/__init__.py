@@ -5,8 +5,8 @@ events; ``PlanInjector`` applies one against live simulation state at
 the engine's phase boundaries; the catalog names reusable chaos
 recipes for the CLI (``--faults``), the scenario registry, and sweep
 sharding.  Without a plan the engine holds :data:`NULL_INJECTOR` and
-the no-fault path is bit-identical to the golden traces (enforced by
-``scripts/check_fault_null_equivalence.py`` in CI).
+the no-fault path is bit-identical to the golden traces (pinned by
+``tests/simulation/test_golden_trace.py``).
 """
 
 from .._lazy import lazy_exports

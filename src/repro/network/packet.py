@@ -311,9 +311,6 @@ class LatencyReservoir:
             self._sample[draws[hit]] = rest[hit]
         self.count += v.size
 
-    def add(self, value: int) -> None:
-        self.add_many(np.asarray([value]))
-
     def merge(self, other: "LatencyReservoir") -> None:
         """Fold another reservoir in.
 
@@ -445,14 +442,6 @@ class PacketStats(PacketCounts):
     def latencies(self) -> list[int]:
         """Sampled delivery latencies (exact below the reservoir cap)."""
         return [int(x) for x in self.latency_sample.values]
-
-    def record_delivery(self, latency_slots: int, hops: int) -> None:
-        if latency_slots < 0:
-            raise ValueError("latency cannot be negative")
-        self.delivered += 1
-        self.total_latency_slots += latency_slots
-        self.total_hops += hops
-        self.latency_sample.add(latency_slots)
 
     def record_deliveries(self, latencies: np.ndarray, hops: np.ndarray) -> None:
         """Vectorized delivery rollup for a batch of packets."""

@@ -46,7 +46,7 @@ Scheduler *events* (lease grants, reclaims, requeues, worker deaths,
 duplicate drops) are appended to an ``<artifact>.events.jsonl``
 sidecar — like the status sidecar, they are per-run ephemera that never
 merge or fingerprint, but they make a chaotic run auditable: the chaos
-tests and the CI determinism gate assert re-lease decisions from them.
+tests assert re-lease decisions from them.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ class JsonlWriter:
             # mtime=0 and an empty FNAME keep the bytes a pure function
             # of the payload — else the header would embed the wall
             # clock and the output path, and the byte-equality
-            # determinism gates would fail across paths and runs.
+            # determinism tests would fail across paths and runs.
             self._stream = gzip.GzipFile(
                 filename="", fileobj=self._raw, mode="wb", mtime=0
             )

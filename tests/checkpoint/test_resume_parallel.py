@@ -11,10 +11,8 @@ import json
 import os
 import signal
 
-import pytest
-
 from repro.analysis.sweep import PROTOCOLS, execute_cell, run_cell
-from repro.checkpoint import CheckpointWriter, snapshot_paths
+from repro.checkpoint import CheckpointWriter
 from repro.parallel import (
     DrainFlag,
     SweepSpec,

@@ -1,15 +1,21 @@
 """Tests for crash-safe engine checkpointing (repro.checkpoint).
 
-The headline contract — SIGKILL + resume is bit-identical end-to-end —
-is enforced by ``scripts/check_checkpoint_equivalence.py`` in CI; these
-tests cover the snapshot format, the refusal taxonomy, rotation, and
-the in-process resume identity.
+The headline contract — a run SIGKILLed between snapshots and resumed
+is bit-identical end-to-end to one never interrupted — is
+``TestRoundtripIdentity::test_sigkill_and_resume_matches_uninterrupted``,
+which kills a real child process. The other tests cover the snapshot
+format, the refusal taxonomy, rotation, and the in-process resume
+identity.
 """
 
 import dataclasses
 import json
+import os
 import pickle
+import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,11 +49,14 @@ from repro.simulation import SimulationEngine, build_scenario
 from repro.telemetry import SpanTracer, Telemetry
 from repro.telemetry.manifest import config_fingerprint
 from repro.telemetry.registry import deterministic_view
+from tests.simulation.test_batched_equivalence import engine_state, pruned_config
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
-def _config(rounds=8, seed=3, faults=None, routing="direct"):
+def _config(rounds=8, seed=3, faults=None, routing="direct", **kwargs):
     config = dataclasses.replace(
-        paper_config(rounds=rounds, seed=seed),
+        paper_config(rounds=rounds, seed=seed, **kwargs),
         routing=RoutingConfig(kind=routing),
     )
     if faults:
@@ -68,7 +77,88 @@ def _round_stats(result):
     return [dataclasses.asdict(r) for r in result.per_round]
 
 
+def _assert_same_run(got, want, got_engine, want_engine):
+    """What a resumed or checkpointing run must reproduce bit for bit:
+    summary, round rows, the run-total latency sample, the fault and
+    routing reports, and the telemetry deterministic view."""
+    assert got.summary() == want.summary()
+    assert _round_stats(got) == _round_stats(want)
+    g, w = got.packets.latency_sample, want.packets.latency_sample
+    assert g.count == w.count
+    assert g.values.tobytes() == w.values.tobytes()
+    assert got.faults == want.faults
+    assert got.extras.get("routing") == want.extras.get("routing")
+    assert deterministic_view(
+        got_engine.telemetry.snapshot()
+    ) == deterministic_view(want_engine.telemetry.snapshot())
+
+
+def _chaos_config(**kwargs):
+    return _config(seed=0, faults="ch-kill", routing="tree", **kwargs)
+
+
+#: Kill-and-resume cases: (config, batched, checkpoint every, kill after
+#: round). The pruned shape checkpoints every round. The ch-kill + tree
+#: cases die after round 3, which is not a snapshot boundary, so the
+#: resume re-executes round 2 from the round-2 snapshot; that is also
+#: the round whose head kill draws on the fault stream, so a snapshot
+#: that lost the stream would show. At lambda = 1 packets wait in
+#: source buffers at the snapshot.
+KILL_CASES = {
+    "pruned": (pruned_config, True, 1, 3),
+    "batched": (_chaos_config, True, 2, 3),
+    "scalar": (_chaos_config, False, 2, 3),
+    "congested": (lambda: _chaos_config(mean_interarrival=1.0), True, 2, 3),
+}
+
+
+def run_until_killed(case: str, checkpoint_dir: str) -> None:
+    """Child-process body: run ``case`` checkpointed and SIGKILL the
+    process once its kill round has finished."""
+    make, batched, every, kill_round = KILL_CASES[case]
+    engine = _engine(make(), batched=batched, telemetry=True)
+
+    def kill_switch() -> bool:
+        if engine.state.round_index >= kill_round:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return False
+
+    engine.run(checkpoint_every=every, checkpoint_dir=Path(checkpoint_dir),
+               checkpoint_tag=case, stop_requested=kill_switch)
+
+
 class TestRoundtripIdentity:
+    @pytest.mark.parametrize("case", sorted(KILL_CASES))
+    def test_sigkill_and_resume_matches_uninterrupted(self, tmp_path, case):
+        make, batched, every, kill_round = KILL_CASES[case]
+        config = make()
+        reference = _engine(config, batched=batched, telemetry=True)
+        want = reference.run()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tests.checkpoint.test_snapshot import "
+             "run_until_killed as f; f(*sys.argv[1:])", case, str(tmp_path)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        found = latest_valid(
+            tmp_path, case, config_fingerprint=config_fingerprint(config),
+            run=run_signature(reference),
+        )
+        assert found is not None
+        _, header, engine = found
+        assert header["round_index"] == kill_round // every * every
+        if case == "congested":
+            assert engine.buffers.total > 0
+        got = engine.run()
+        _assert_same_run(got, want, engine, reference)
+        assert got.total_energy == want.total_energy
+        assert engine_state(engine) == engine_state(reference)
+
     @pytest.mark.parametrize("batched", [True, False])
     def test_snapshot_restore_finish_is_bit_identical(self, tmp_path, batched):
         config = _config(faults="ch-kill", routing="tree")
@@ -90,27 +180,19 @@ class TestRoundtripIdentity:
         )
         assert restored_header == header
         resumed = restored.run()
-
-        assert resumed.summary() == expected.summary()
-        assert _round_stats(resumed) == _round_stats(expected)
-        got = resumed.packets.latency_sample
-        want = expected.packets.latency_sample
-        assert got.count == want.count
-        assert got.values.tobytes() == want.values.tobytes()
-        assert deterministic_view(
-            restored.telemetry.snapshot()
-        ) == deterministic_view(baseline.telemetry.snapshot())
-        assert resumed.faults == expected.faults
-        assert resumed.extras.get("routing") == expected.extras.get("routing")
+        _assert_same_run(resumed, expected, restored, baseline)
 
     def test_checkpointing_run_equals_plain_run(self, tmp_path):
-        config = _config()
-        plain = _engine(config).run()
-        checkpointed = _engine(config).run(
+        """Snapshots are pure observation, with every RNG stream
+        (protocol, faults, routing) live."""
+        config = _config(faults="ch-kill", routing="tree")
+        plain_engine = _engine(config, telemetry=True)
+        plain = plain_engine.run()
+        checkpointing = _engine(config, telemetry=True)
+        checkpointed = checkpointing.run(
             checkpoint_every=3, checkpoint_dir=tmp_path
         )
-        assert checkpointed.summary() == plain.summary()
-        assert _round_stats(checkpointed) == _round_stats(plain)
+        _assert_same_run(checkpointed, plain, checkpointing, plain_engine)
         assert snapshot_paths(tmp_path, "run")  # snapshots were written
 
     def test_resume_from_engine_run_snapshot(self, tmp_path):

@@ -5,8 +5,15 @@ isolated from every other RNG stream, and everything is reproducible."""
 import numpy as np
 import pytest
 
+from repro.config import paper_config
 from repro.core import QLECProtocol
-from repro.faults import FaultEvent, FaultPlan, rounds_to_recover
+from repro.faults import (
+    FaultEvent,
+    FaultPlan,
+    build_fault_plan,
+    fault_scenario_names,
+    rounds_to_recover,
+)
 from repro.simulation.engine import SimulationEngine, run_simulation
 from tests.conftest import make_config
 
@@ -157,8 +164,15 @@ class TestDeterminism:
         assert a.faults == b.faults
         np.testing.assert_array_equal(a.residual_final, b.residual_final)
 
-    def test_scalar_equals_batched(self):
-        config = make_config(seed=5, rounds=6, faults=self.PLAN)
+    @pytest.mark.parametrize("plan", ["hand-made", *fault_scenario_names()])
+    def test_scalar_equals_batched(self, plan):
+        """The hand-made plan, and every catalog scenario on the paper
+        config (QLEC, 12 rounds, seed 0)."""
+        if plan == "hand-made":
+            config = make_config(seed=5, rounds=6, faults=self.PLAN)
+        else:
+            config = paper_config(seed=0, rounds=12)
+            config = config.replace(faults=build_fault_plan(plan, config))
         a = run_simulation(config, QLECProtocol(), batched=True)
         b = run_simulation(config, QLECProtocol(), batched=False)
         assert a.summary() == b.summary()

@@ -40,8 +40,8 @@ class TestPacketStats:
 
     def test_record_delivery_accumulates(self):
         s = PacketStats(generated=2)
-        s.record_delivery(3, 2)
-        s.record_delivery(5, 1)
+        s.record_deliveries(np.array([3]), np.array([2]))
+        s.record_deliveries(np.array([5]), np.array([1]))
         assert s.delivered == 2
         assert s.mean_latency == pytest.approx(4.0)
         assert s.mean_hops == pytest.approx(1.5)
@@ -49,7 +49,7 @@ class TestPacketStats:
 
     def test_record_delivery_rejects_negative_latency(self):
         with pytest.raises(ValueError):
-            PacketStats().record_delivery(-1, 1)
+            PacketStats().record_deliveries(np.array([-1]), np.array([1]))
 
     def test_mean_latency_zero_when_no_delivery(self):
         assert PacketStats(generated=5).mean_latency == 0.0
@@ -62,7 +62,7 @@ class TestPacketStats:
 
     def test_merge(self):
         a = PacketStats(generated=5, delivered=2, dropped_queue=1)
-        a.record_delivery(2, 1)
+        a.record_deliveries(np.array([2]), np.array([1]))
         b = PacketStats(generated=3, dropped_channel=2)
         a.merge(b)
         assert a.generated == 8
@@ -193,7 +193,7 @@ class TestLatencyReservoir:
     def test_exact_below_capacity(self):
         r = LatencyReservoir(capacity=10)
         r.add_many(np.array([3, 1, 4]))
-        r.add(5)
+        r.add_many(np.array([5]))
         assert sorted(r.values.tolist()) == [1, 3, 4, 5]
         assert r.count == 4
         assert len(r) == 4
@@ -216,7 +216,7 @@ class TestLatencyReservoir:
         data = np.arange(300, dtype=np.int64)
         a.add_many(data)
         for x in data:
-            b.add(int(x))
+            b.add_many(np.array([x]))
         assert a == b
 
     def test_merge_exact_when_fits(self):
@@ -229,11 +229,11 @@ class TestLatencyReservoir:
 
 
 class TestPacketStatsBatch:
-    def test_record_deliveries_matches_scalar(self):
+    def test_one_batch_matches_one_at_a_time_batches(self):
         a, b = PacketStats(generated=4), PacketStats(generated=4)
         a.record_deliveries(np.array([2, 3, 4]), np.array([1, 1, 2]))
         for lat, hops in ((2, 1), (3, 1), (4, 2)):
-            b.record_delivery(lat, hops)
+            b.record_deliveries(np.array([lat]), np.array([hops]))
         assert a.delivered == b.delivered
         assert a.total_latency_slots == b.total_latency_slots
         assert a.total_hops == b.total_hops

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.analysis.sweep import sweep_from_spec
 from repro.config import paper_config
 from repro.parallel.scheduler import (
     SCHED_EVENT_KIND,
@@ -25,7 +26,9 @@ from repro.parallel.sharding import (
     SweepCell,
     SweepSpec,
     load_artifact,
+    merge_artifacts,
 )
+from repro.telemetry import deterministic_view
 from repro.telemetry.jsonl import read_jsonl_tolerant
 
 
@@ -318,6 +321,12 @@ class TestRunScheduled:
         art = load_artifact(out)
         assert len(art.cell_rows) == len(SPEC)
         assert art.manifest["scheduler"]["compression"] == "gz"
+        merged = merge_artifacts([out]).require_complete()
+        serial = sweep_from_spec(SPEC, serial=True)
+        assert merged.sweep.rows == serial.rows
+        assert deterministic_view(
+            merged.sweep.telemetry
+        ) == deterministic_view(serial.telemetry)
         # Resume keeps the sniffed codec without restating it.
         before = out.read_bytes()
         run_scheduled(SPEC, out, num_workers=2, poll_seconds=0.02)

@@ -46,6 +46,11 @@ class TestNullSubstrate:
         config that never mentions routing."""
         base = make_config(seed=1, rounds=4)
         explicit = dataclasses.replace(base, routing=RoutingConfig())
+        # So the golden traces, which never mention routing, pin the
+        # direct router for every protocol.
+        assert dataclasses.replace(
+            paper_config(seed=0), routing=RoutingConfig(kind="direct")
+        ) == paper_config(seed=0)
         a = run_simulation(base, QLECProtocol())
         b = run_simulation(explicit, QLECProtocol())
         assert a.summary() == b.summary()
@@ -103,6 +108,7 @@ class TestPathTracing:
 
     def test_path_records_present_and_consistent(self):
         result, trace = self.run_traced("tree")
+        assert result.extras["routing"]["kind"] == "tree"
         assert trace.paths, "active substrate emitted no path records"
         n_rounds = len(trace.records)
         for rec in trace.paths:

@@ -9,23 +9,15 @@ every protocol.  That identity is what makes the scalar mode a valid
 baseline for the slot-kernel benchmark.
 """
 
-import os
-import signal
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.analysis import PROTOCOLS
-from repro.checkpoint import latest_valid, run_signature
 from repro.config import paper_config
 from repro.core import QLECProtocol, routing
 from repro.experiments.ablation import ABLATION_VARIANTS
 from repro.network.mobility import MobilityConfig
 from repro.simulation.engine import SimulationEngine
-from repro.telemetry import config_fingerprint
 from tests.conftest import make_config
 
 
@@ -88,8 +80,6 @@ def test_choose_relays_matches_scalar_loop(name):
 # relay choice scores only the heads its reward bound cannot rule out;
 # the scalar loop, ``choose``, always scores every action.
 PRUNED_K = 64
-KILL_ROUND = 3
-ROOT = Path(__file__).resolve().parents[2]
 
 
 def pruned_config(mobility=None):
@@ -138,46 +128,3 @@ def test_pruned_relay_choice_matches_scalar(mobility, monkeypatch):
     assert rb.packets.latencies == rs.packets.latencies
     assert rb.total_energy == rs.total_energy
     assert engine_state(batched) == engine_state(scalar)
-
-
-def checkpointed_until_killed(checkpoint_dir: str) -> None:
-    """Subprocess body: run the pruned shape checkpointing every round
-    and SIGKILL the process after round KILL_ROUND."""
-    engine = SimulationEngine(pruned_config(), QLECProtocol())
-
-    def kill_switch() -> bool:
-        if engine.state.round_index >= KILL_ROUND:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return False
-
-    engine.run(checkpoint_every=1, checkpoint_dir=Path(checkpoint_dir),
-               checkpoint_tag="pruned", stop_requested=kill_switch)
-
-
-def test_pruned_kill_and_resume_matches_uninterrupted(tmp_path):
-    cfg = pruned_config()
-    reference = SimulationEngine(cfg, QLECProtocol())
-    want = reference.run()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from tests.simulation.test_batched_equivalence import "
-         "checkpointed_until_killed as f; f(sys.argv[1])", str(tmp_path)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == -signal.SIGKILL, proc.stderr
-    found = latest_valid(
-        tmp_path, "pruned", config_fingerprint=config_fingerprint(cfg),
-        run=run_signature(reference),
-    )
-    assert found is not None
-    _, header, engine = found
-    assert header["round_index"] == KILL_ROUND
-    got = engine.run()
-    assert fingerprint(got) == fingerprint(want)
-    assert got.total_energy == want.total_energy
-    assert got.summary() == want.summary()
-    assert engine_state(engine) == engine_state(reference)

@@ -31,6 +31,8 @@ def trace(protocol_name: str, backend: str = "numpy") -> list[dict]:
     result = SimulationEngine(
         cfg, PROTOCOLS[protocol_name](), backend=backend
     ).run()
+    # No fault plan: the null injector must not grow a fault summary.
+    assert result.faults is None
     return [rs.row() for rs in result.per_round]
 
 

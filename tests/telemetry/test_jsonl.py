@@ -103,7 +103,7 @@ class TestRoundTrip:
 
     def test_gzip_bytes_are_stable(self, tmp_path):
         # mtime=0 keeps compressed artifacts byte-reproducible — the
-        # determinism gates compare artifact bytes.
+        # determinism tests compare artifact bytes.
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for p in (a, b):
             with JsonlWriter(p, compression="gz") as fh:

@@ -8,7 +8,6 @@ toggle alive because ad-hoc state injection between rounds is itself a
 supported (if unaccounted) debugging technique.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines import DirectProtocol, KMeansProtocol
