@@ -20,19 +20,19 @@ def test_sensitivity_study(benchmark):
 
     by_axis: dict[str, list] = {}
     for r in rows:
-        by_axis.setdefault(r.axis, []).append(r)
+        by_axis.setdefault(r["axis"], []).append(r)
 
     # Plateau check per axis: the worst perturbed PDR stays within 0.15
     # of the default's.
     for axis, axis_rows in by_axis.items():
-        default = next(r for r in axis_rows if r.is_default)
+        default = next(r for r in axis_rows if r["default"])
         for r in axis_rows:
-            assert r.pdr > default.pdr - 0.15, (axis, r.value)
+            assert r["pdr"] > default["pdr"] - 0.15, (axis, r["value"])
 
     # The BS penalty is the one knob that must not be *removed*: with
     # l ~ O(per-packet rewards) members leak onto the throttled direct
     # path.  Large values are all equivalent (the plateau).
-    penalties = {r.value: r.pdr for r in by_axis["bs_penalty"]}
+    penalties = {r["value"]: r["pdr"] for r in by_axis["bs_penalty"]}
     assert penalties[1000.0] == penalties[100.0] or (
         abs(penalties[1000.0] - penalties[100.0]) < 0.05
     )

@@ -28,7 +28,8 @@ from ..baselines import (
     TLLEACHProtocol,
 )
 from ..baselines.base import ClusteringProtocol
-from ..core import QLECProtocol
+from ..core import QLECProtocol, SelectionConfig
+from ..core.qlec import NearestJoinQLEC
 from ..parallel import (
     CellOptions,
     SweepCell,
@@ -47,9 +48,23 @@ __all__ = [
     "sweep_protocols",
 ]
 
-#: Registry: protocol name -> zero-argument factory.
+#: Registry: protocol name -> zero-argument factory.  The ``qlec/*``
+#: entries are the E-AB1 ablation variants: QLEC with one design choice
+#: switched off or swapped.
 PROTOCOLS: dict[str, Callable[[], ClusteringProtocol]] = {
     "qlec": QLECProtocol,
+    "qlec/no-threshold": lambda: QLECProtocol(
+        selection=SelectionConfig(use_energy_threshold=False)
+    ),
+    "qlec/no-redundancy": lambda: QLECProtocol(
+        selection=SelectionConfig(use_redundancy_reduction=False)
+    ),
+    "qlec/no-rotation": lambda: QLECProtocol(
+        selection=SelectionConfig(use_rotation=False)
+    ),
+    "qlec/no-qlearning": NearestJoinQLEC,
+    "qlec/sampled-td": lambda: QLECProtocol(learning_rate=0.3),
+    "qlec/eps-0.05": lambda: QLECProtocol(epsilon=0.05),
     "fcm": FCMProtocol,
     "kmeans": KMeansProtocol,
     "kmeans-adaptive": lambda: KMeansProtocol(recluster_every=1),

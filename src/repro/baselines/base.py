@@ -119,11 +119,6 @@ class ClusteringProtocol(abc.ABC):
     # ------------------------------------------------------------------
     # optional feedback hooks
     # ------------------------------------------------------------------
-    def on_transmission(
-        self, state: NetworkState, node: int, target: int, success: bool
-    ) -> None:
-        """ACK/timeout feedback for a single transmission attempt."""
-
     def on_transmissions(
         self,
         state: NetworkState,
@@ -131,16 +126,7 @@ class ClusteringProtocol(abc.ABC):
         targets: np.ndarray,
         successes: np.ndarray,
     ) -> None:
-        """One slot's ACK feedback as a batch (canonical sender order).
-
-        Dispatches to the scalar hook only when a subclass actually
-        overrides it, so protocols without transmission feedback pay
-        nothing per slot.
-        """
-        if type(self).on_transmission is ClusteringProtocol.on_transmission:
-            return
-        for node, target, ok in zip(nodes, targets, successes):
-            self.on_transmission(state, int(node), int(target), bool(ok))
+        """One slot's ACK feedback as a batch (canonical sender order)."""
 
     def on_round_end(self, state: NetworkState, heads: np.ndarray) -> None:
         """Called after the CH->BS uplink completes each round."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.base import ClusteringProtocol
+from ..baselines.base import ClusteringProtocol, NearestHeadRelayMixin
 from ..rl.policies import Policy
 from ..simulation.state import NetworkState
 from .rewards import RewardModel
@@ -25,7 +25,7 @@ from .routing import QRouter
 from .selection import ImprovedDEECSelector, SelectionConfig
 from .theory import optimal_cluster_count_int
 
-__all__ = ["QLECProtocol"]
+__all__ = ["NearestJoinQLEC", "QLECProtocol"]
 
 
 class QLECProtocol(ClusteringProtocol):
@@ -143,3 +143,16 @@ class QLECProtocol(ClusteringProtocol):
     def v_update_count(self) -> int:
         """Total V-entry updates so far (the X of the O(kX) bound)."""
         return 0 if self.router is None else self.router.v.update_count
+
+
+class NearestJoinQLEC(NearestHeadRelayMixin, QLECProtocol):
+    """QLEC's head selection but members simply join the nearest head
+    (ablates the whole Q-learning transmission phase).  The mixin comes
+    first so the batched ``choose_relays`` joins the nearest head too,
+    not only the scalar ``choose_relay``."""
+
+    name = "qlec/no-qlearning"
+
+    def choose_relay(self, state, node, heads, queue_lengths):
+        d = state.distances_from(node, heads)
+        return int(heads[d.argmin()])

@@ -1,6 +1,6 @@
 """Experiment drivers: one module per paper table/figure (see DESIGN.md)."""
 
-from .ablation import ABLATION_VARIANTS, AblationRow, render_ablation, run_ablation
+from .ablation import ABLATION_VARIANTS, render_ablation, run_ablation
 from .convergence_x import (
     XMeasurement,
     measure_x,
@@ -35,14 +35,12 @@ from .fig4 import Fig4Config, Fig4Report, run_fig4
 from .kopt_validation import KoptReport, run_kopt_validation
 from .sensitivity import (
     SENSITIVITY_AXES,
-    SensitivityRow,
     render_sensitivity,
     run_sensitivity,
 )
 
 __all__ = [
     "ABLATION_VARIANTS",
-    "AblationRow",
     "DEFAULT_LAMBDAS",
     "Fig1View",
     "Fig3Config",
@@ -51,7 +49,6 @@ __all__ = [
     "Fig4Report",
     "KoptReport",
     "SENSITIVITY_AXES",
-    "SensitivityRow",
     "LifespanCurveConfig",
     "LifespanCurveResult",
     "QLearningCostRow",

@@ -9,26 +9,26 @@ sweep a reviewer would ask for.
 
 A robust reproduction should show a *plateau*: QLEC's advantage should
 not hinge on a razor-edge hyperparameter choice.
+
+Each axis value is one QLEC sweep whose ``overrides`` move that knob;
+each row holds the seed means of the sweep rows' (rounded) summary
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import Sequence
 
-import numpy as np
+from ..analysis import render_table, sweep_from_spec
+from ..parallel import SweepSpec
+from .ablation import seed_means
 
-from ..analysis import render_table
-from ..config import apply_overrides, paper_config
-from ..core import QLECProtocol
-from ..simulation import run_simulation
-
-__all__ = ["SensitivityRow", "SENSITIVITY_AXES", "run_sensitivity",
-           "render_sensitivity"]
+__all__ = ["SENSITIVITY_AXES", "run_sensitivity", "render_sensitivity"]
 
 
-#: axis name -> (values,); see :func:`_patched_config` for the field
-#: each axis moves.
+#: axis name -> (values,); see :func:`_axis_spec` for the field each
+#: axis moves.
 SENSITIVITY_AXES: dict[str, tuple[tuple, ...]] = {
     "gamma": ((0.5, 0.8, 0.95, 0.99),),
     "alpha2": ((0.25, 1.05, 2.0, 4.0),),
@@ -38,31 +38,13 @@ SENSITIVITY_AXES: dict[str, tuple[tuple, ...]] = {
     "estimator_shared": ((False, True),),
 }
 
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    axis: str
-    value: object
-    is_default: bool
-    pdr: float
-    energy: float
-    lifespan: float
-    balance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "value": self.value,
-            "default": self.is_default,
-            "pdr": self.pdr,
-            "energy_J": self.energy,
-            "lifespan": self.lifespan,
-            "balance": self.balance,
-        }
+_COLUMNS = ("axis", "value", "default", "pdr", "energy_J", "lifespan", "balance")
 
 
-def _patched_config(axis: str, value, mean_interarrival: float, seed: int):
-    """Table 2 at ``(mean_interarrival, seed)`` with one axis moved.
+def _axis_spec(
+    axis: str, value, mean_interarrival: float, seeds: Sequence[int]
+) -> SweepSpec:
+    """QLEC on Table 2 at ``mean_interarrival`` with one axis moved.
 
     ``alpha2`` moves ``beta2`` with it (the paper ties the pair); the
     estimator knobs are top-level config fields, the rest Q-learning
@@ -76,60 +58,47 @@ def _patched_config(axis: str, value, mean_interarrival: float, seed: int):
         override = {axis: value}
     else:
         override = {"qlearning": {axis: value}}
-    return apply_overrides(
-        paper_config(mean_interarrival=mean_interarrival, seed=seed), override
+    return SweepSpec(
+        protocols=("qlec",),
+        lambdas=(mean_interarrival,),
+        seeds=tuple(seeds),
+        overrides=override,
     )
-
-
-_DEFAULTS = {
-    "gamma": 0.95,
-    "alpha2": 1.05,
-    "bs_penalty": 100.0,
-    "g": 0.1,
-    "estimator_alpha": 0.08,
-    "estimator_shared": True,
-}
 
 
 def run_sensitivity(
     axes: Sequence[str] | None = None,
     seeds: Sequence[int] = (0, 1),
     mean_interarrival: float = 4.0,
-) -> list[SensitivityRow]:
+) -> list[dict]:
     """One-at-a-time perturbation around the Table-2 point."""
     chosen = list(axes) if axes is not None else list(SENSITIVITY_AXES)
-    rows: list[SensitivityRow] = []
+    rows: list[dict] = []
     for axis in chosen:
         (values,) = SENSITIVITY_AXES[axis]
         for value in values:
-            results = [
-                run_simulation(
-                    _patched_config(axis, value, mean_interarrival, seed),
-                    QLECProtocol(),
-                )
-                for seed in seeds
-            ]
+            spec = _axis_spec(axis, value, mean_interarrival, seeds)
+            lam, seed = spec.lambdas[0], spec.seeds[0]
+            table2 = dataclasses.replace(spec, overrides={})
             rows.append(
-                SensitivityRow(
-                    axis=axis,
-                    value=value,
-                    is_default=value == _DEFAULTS[axis],
-                    pdr=float(np.mean([r.delivery_rate for r in results])),
-                    energy=float(np.mean([r.total_energy for r in results])),
-                    lifespan=float(np.mean([r.lifespan for r in results])),
-                    balance=float(
-                        np.mean([r.energy_balance_index() for r in results])
-                    ),
-                )
+                {
+                    "axis": axis,
+                    "value": value,
+                    "default": spec.config(lam, seed) == table2.config(lam, seed),
+                    "lambda": lam,
+                    **seed_means(sweep_from_spec(spec), "qlec", lam),
+                }
             )
     return rows
 
 
-def render_sensitivity(rows: list[SensitivityRow]) -> str:
+def render_sensitivity(rows: list[dict]) -> str:
     return render_table(
-        [r.as_dict() for r in rows],
+        rows,
+        columns=_COLUMNS,
         precision=4,
-        title="QLEC hyperparameter sensitivity (Table-2 scenario, lambda = 4)",
+        title="QLEC hyperparameter sensitivity "
+        f"(Table-2 scenario, lambda = {rows[0]['lambda']:g})",
     )
 
 

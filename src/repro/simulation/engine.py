@@ -550,25 +550,16 @@ class SimulationEngine:
         all_rows = all_rows[order]
         all_slots = all_slots[order]
         seg_starts = np.cumsum(n_fused) - n_fused
-        # Fast path: when every walked head uplinks straight to the BS
-        # and the protocol takes no per-transmission feedback, each
-        # frame is one head->BS hop and the whole phase vectorizes
+        # Fast path: when every walked head uplinks straight to the BS,
+        # each frame is one head->BS hop and the whole phase vectorizes
         # (channel draws stay in head order, frame order).
-        from ..baselines.base import ClusteringProtocol
-
         # An active routing substrate owns the uplink paths (and wants
         # per-hop feedback plus path traces), so it always takes the
         # chain walk; the vectorized fast path below is reserved for
         # the substrate-less all-direct case.
         router = self.router
         paths: dict[int, list[int]] = {}
-        # Per-frame protocol feedback runs only when the protocol
-        # overrides the hook (decided once per round, not per frame).
-        hooked = (
-            type(self.protocol).on_transmission
-            is not ClusteringProtocol.on_transmission
-        )
-        direct_only = not hooked and not router.active
+        direct_only = not router.active
         if direct_only:
             for j, h in enumerate(bank.heads):
                 if n_fused[j] == 0 or not st.ledger.is_alive(int(h)):
@@ -618,9 +609,7 @@ class SimulationEngine:
             for src, dst in zip(chain, chain[1:]):
                 if not frames:
                     break
-                frames = self._uplink_hop(
-                    src, dst, frames, relay_budget, hooked, stats
-                )
+                frames = self._uplink_hop(src, dst, frames, relay_budget, stats)
             # Whatever survived the whole chain reached the BS.
             hop_count = len(chain) - 1
             if frames:
@@ -661,7 +650,6 @@ class SimulationEngine:
         dst: int,
         frames: list[tuple[np.ndarray, np.ndarray]],
         relay_budget: dict[int, int],
-        hooked: bool,
         stats: PacketStats,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """One hop of the chain walk for all of a head's surviving
@@ -673,8 +661,8 @@ class SimulationEngine:
         Each of these touches its own node, stream or accumulator in
         frame order (a chain never repeats a node: every path builder
         tracks the nodes it visited), so the batch is bit-identical to
-        walking the frames one at a time.  Feedback hooks fire once per
-        frame, after the hop's state is applied.
+        walking the frames one at a time.  The router's feedback hook
+        fires once per frame, after the hop's state is applied.
         """
         st = self.state
         m = len(frames)
@@ -708,12 +696,9 @@ class SimulationEngine:
         acks = ok.tolist()
         st.link_estimator.update_link(src, dst, acks)
         router = self.router
-        if hooked or router.active:
+        if router.active:
             for acked in acks:
-                if hooked:
-                    self.protocol.on_transmission(st, src, dst, acked)
-                if router.active:
-                    router.on_hop(st, src, dst, acked)
+                router.on_hop(st, src, dst, acked)
         lost = [
             (rows, PacketStatus.DROPPED_QUEUE if q else lost_as)
             for (rows, _), acked, q in zip(frames, acks, full)

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.analysis.sweep import PROTOCOLS, run_cell, sweep_protocols
+from repro.config import paper_config
+from repro.simulation import run_simulation
+
+ABLATION_NAMES = sorted(n for n in PROTOCOLS if n.startswith("qlec/"))
 
 
 class TestRegistry:
@@ -30,6 +34,17 @@ class TestRunCell:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(KeyError):
             run_cell("nope", 8.0, seed=0)
+
+    @pytest.mark.parametrize("name", ABLATION_NAMES)
+    def test_ablation_cell_is_a_plain_run(self, name):
+        """A registered ablation variant's sweep cell is the run the
+        hand-rolled ablation loop used to make."""
+        row = run_cell(name, 4.0, seed=0, rounds=3)
+        want = run_simulation(
+            paper_config(mean_interarrival=4.0, seed=0, rounds=3),
+            PROTOCOLS[name](),
+        ).summary()
+        assert row == {**want, "protocol": name}
 
 
 class TestSweep:

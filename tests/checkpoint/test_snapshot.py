@@ -165,12 +165,16 @@ class TestRoundtripIdentity:
         baseline = _engine(config, batched=batched, telemetry=True)
         expected = baseline.run()
 
+        # Snapshot just before the head kill, so the restored run draws
+        # the victims from the fault stream it restored.
+        (kill,) = config.faults.events
         interrupted = _engine(config, batched=batched, telemetry=True)
-        for _ in range(4):
+        for _ in range(kill.round):
             interrupted.run_round()
-        path = tmp_path / f"run-r00000004{CHECKPOINT_SUFFIX}"
+        assert interrupted.faults.fault_rounds == set()
+        path = tmp_path / f"run-r{kill.round:08d}{CHECKPOINT_SUFFIX}"
         header = write_checkpoint(interrupted, path)
-        assert header["round_index"] == 4
+        assert header["round_index"] == kill.round
         assert header["config_fingerprint"] == config_fingerprint(config)
 
         restored_header, restored = read_checkpoint(
@@ -180,6 +184,7 @@ class TestRoundtripIdentity:
         )
         assert restored_header == header
         resumed = restored.run()
+        assert kill.round in resumed.faults["fault_rounds"]
         _assert_same_run(resumed, expected, restored, baseline)
 
     def test_checkpointing_run_equals_plain_run(self, tmp_path):

@@ -124,10 +124,13 @@ class TestAblationDriver:
             if k in ("qlec (full)", "direct")
         }
         rows = run_ablation(variants, seeds=(0,), rounds=3)
-        assert [r.variant for r in rows] == ["qlec (full)", "direct"]
-        assert all(0.0 <= r.pdr <= 1.0 for r in rows)
+        assert [r["variant"] for r in rows] == ["qlec (full)", "direct"]
+        assert all(0.0 <= r["pdr"] <= 1.0 for r in rows)
 
     def test_render(self):
         variants = {"direct": ABLATION_VARIANTS["direct"]}
-        text = render_ablation(run_ablation(variants, seeds=(0,), rounds=2))
+        text = render_ablation(
+            run_ablation(variants, mean_interarrival=2.0, seeds=(0,), rounds=2)
+        )
         assert "ablation" in text.lower()
+        assert "lambda = 2.0" in text

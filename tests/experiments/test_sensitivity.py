@@ -7,7 +7,13 @@ from repro.experiments import (
     render_sensitivity,
     run_sensitivity,
 )
-from repro.experiments.sensitivity import _patched_config
+from repro.experiments.sensitivity import _axis_spec
+
+
+def _patched_config(axis, value, mean_interarrival, seed):
+    """The config a sensitivity cell runs: Table 2 with one axis moved."""
+    spec = _axis_spec(axis, value, mean_interarrival, (seed,))
+    return spec.config(mean_interarrival, seed)
 
 
 class TestPatching:
@@ -42,28 +48,28 @@ class TestStudy:
         )
 
     def test_all_values_covered(self, rows):
-        gammas = [r.value for r in rows if r.axis == "gamma"]
+        gammas = [r["value"] for r in rows if r["axis"] == "gamma"]
         assert gammas == list(SENSITIVITY_AXES["gamma"][0])
 
     def test_default_flagged_once_per_axis(self, rows):
         for axis in ("gamma", "estimator_shared"):
-            defaults = [r for r in rows if r.axis == axis and r.is_default]
+            defaults = [r for r in rows if r["axis"] == axis and r["default"]]
             assert len(defaults) == 1
 
     def test_metrics_in_range(self, rows):
         for r in rows:
-            assert 0.0 <= r.pdr <= 1.0
-            assert r.energy > 0.0
-            assert 0.0 < r.balance <= 1.0
+            assert 0.0 <= r["pdr"] <= 1.0
+            assert r["energy_J"] > 0.0
+            assert 0.0 < r["balance"] <= 1.0
 
     def test_plateau_around_default(self, rows):
         """Robustness: no perturbation collapses QLEC (pdr stays within
         15 points of the default's on this scenario)."""
         default_pdr = next(
-            r.pdr for r in rows if r.axis == "gamma" and r.is_default
+            r["pdr"] for r in rows if r["axis"] == "gamma" and r["default"]
         )
         for r in rows:
-            assert r.pdr > default_pdr - 0.15
+            assert r["pdr"] > default_pdr - 0.15
 
     def test_render(self, rows):
         text = render_sensitivity(rows)

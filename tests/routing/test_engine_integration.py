@@ -180,7 +180,8 @@ class TestRoutingTelemetry:
 
 class TestUplinkFeedback:
     """The chain walk batches each (head, hop) but still fires the
-    feedback hooks once per frame, after the hop's state is applied."""
+    router's feedback hook once per frame, after the hop's state is
+    applied."""
 
     def test_on_hop_fires_once_per_frame(self, monkeypatch):
         from repro.routing.base import TreeRouting
@@ -202,19 +203,3 @@ class TestUplinkFeedback:
         into_bs = sum(ok and dst == bs for _, dst, ok, bs in calls)
         assert into_bs == sum(r["delivered"] for r in trace.paths) > 0
         assert len(calls) >= sum(r["frames"] for r in trace.paths)
-
-    def test_protocol_hook_only_observes(self):
-        seen = []
-
-        class HookedQLEC(QLECProtocol):
-            def on_transmission(self, state, node, target, success):
-                seen.append(success)
-
-        # An active substrate takes the chain walk with or without the
-        # hook (a hooked protocol alone would leave the direct path).
-        cfg = routed_config("tree", seed=1, rounds=4)
-        plain = run_simulation(cfg, QLECProtocol())
-        hooked = run_simulation(cfg, HookedQLEC())
-        assert hooked.summary() == plain.summary()
-        assert np.array_equal(hooked.residual_final, plain.residual_final)
-        assert seen

@@ -15,29 +15,20 @@ import pytest
 from repro.analysis import PROTOCOLS
 from repro.config import paper_config
 from repro.core import QLECProtocol, routing
-from repro.experiments.ablation import ABLATION_VARIANTS
 from repro.network.mobility import MobilityConfig
 from repro.simulation.engine import SimulationEngine
 from tests.conftest import make_config
-
-
-#: Every registered protocol, plus the ablation variant that overrides
-#: relay choice: its batched and scalar rules must agree too.
-FACTORIES = {
-    **PROTOCOLS,
-    "ablation-nearest-join": ABLATION_VARIANTS["qlec w/o q-learning (nearest join)"],
-}
 
 
 def fingerprint(result):
     return [rs.row() for rs in result.per_round]
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_engine_modes_bit_identical(name):
     cfg = paper_config(seed=3, rounds=4)
-    batched = SimulationEngine(cfg, FACTORIES[name](), batched=True).run()
-    scalar = SimulationEngine(cfg, FACTORIES[name](), batched=False).run()
+    batched = SimulationEngine(cfg, PROTOCOLS[name](), batched=True).run()
+    scalar = SimulationEngine(cfg, PROTOCOLS[name](), batched=False).run()
     assert fingerprint(batched) == fingerprint(scalar)
     assert batched.packets.latencies == scalar.packets.latencies
     assert batched.total_energy == scalar.total_energy
@@ -52,7 +43,7 @@ def _relay_choices(name: str, batched: bool) -> np.ndarray:
     difference isolates ``choose_relays`` vs the scalar loop.
     """
     cfg = paper_config(seed=5, rounds=4)
-    engine = SimulationEngine(cfg, FACTORIES[name](), batched=batched)
+    engine = SimulationEngine(cfg, PROTOCOLS[name](), batched=batched)
     for _ in range(2):
         engine.run_round()
     st = engine.state
@@ -69,7 +60,7 @@ def _relay_choices(name: str, batched: bool) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_choose_relays_matches_scalar_loop(name):
     batched = _relay_choices(name, batched=True)
     scalar = _relay_choices(name, batched=False)
