@@ -22,7 +22,6 @@ from pathlib import Path
 
 from repro.checkpoint import CHECKPOINT_KIND, CHECKPOINT_SCHEMA
 from repro.parallel.scheduler import SCHED_EVENT_KIND
-from repro.parallel.status import STATUS_KIND, STATUS_SCHEMA
 from repro.simulation.trace import PATH_KIND, RoundTrace
 from repro.telemetry.manifest import (
     MANIFEST_KIND,
@@ -109,32 +108,24 @@ TRACE_SUMMARY_KEYS = {
     "instants_by_name": dict,
 }
 
-#: Required keys of a shard-status heartbeat row.
-STATUS_KEYS = {
-    "kind": str,
-    "schema": int,
-    "spec_fingerprint": str,
-    "shard": int,
-    "num_shards": int,
-    "cells_total": int,
-    "done": int,
-    "failed": int,
-    "retried": int,
-    "resumed": int,
-    "reclaimed": int,
-    "ewma_cell_seconds": (int, float, type(None)),
-    "eta_seconds": (int, float, type(None)),
-    "elapsed_seconds": (int, float),
-    "updated_unix": (int, float),
-    "state": str,
-}
-
-#: Required keys of a scheduler-event sidecar row; the ``event`` value
-#: must be one of the lifecycle verbs the state machine emits.
+#: Required keys of a run-log (scheduler-event) row; the ``event``
+#: value must be one of the verbs the state machine or the driver
+#: emits, and ``t`` is the coordinator's monotonic clock reading.
 SCHED_EVENT_KEYS = {
     "kind": str,
     "seq": int,
     "event": str,
+    "t": (int, float),
+}
+
+#: Extra keys of the driver's ``start`` marker, which opens a run log.
+START_EVENT_KEYS = {
+    "spec_fingerprint": str,
+    "shard": int,
+    "num_shards": int,
+    "cells_total": int,
+    "resumed": int,
+    "unix": (int, float),
 }
 
 #: Required keys of a per-packet path record (active routing
@@ -173,6 +164,10 @@ RESUME_KEYS = {
 }
 
 SCHED_EVENTS = (
+    "start",
+    "draining",
+    "stopped",
+    "finish",
     "lease",
     "requeue",
     "reclaim",
@@ -255,36 +250,25 @@ def check_trace_summary(obj: dict, where: str) -> list[str]:
     return errors
 
 
-def check_status_record(obj: dict, where: str) -> list[str]:
-    errors = _check_keys(obj, STATUS_KEYS, "shard-status row", where)
-    if obj.get("schema") != STATUS_SCHEMA:
-        errors.append(
-            f"{where}: shard-status schema {obj.get('schema')} != "
-            f"{STATUS_SCHEMA}"
-        )
-    if obj.get("state") not in ("running", "complete", "draining", "stopped"):
-        errors.append(
-            f"{where}: shard-status state {obj.get('state')!r} must be "
-            "'running', 'complete', 'draining', or 'stopped'"
-        )
-    fp = obj.get("spec_fingerprint", "")
-    if not re.fullmatch(r"[0-9a-f]{16}", fp):
-        errors.append(f"{where}: spec_fingerprint {fp!r} is not 16 hex digits")
-    return errors
-
-
 def check_sched_event(obj: dict, where: str) -> list[str]:
     errors = _check_keys(obj, SCHED_EVENT_KEYS, "sched-event row", where)
     event = obj.get("event")
     if event not in SCHED_EVENTS:
         errors.append(
-            f"{where}: sched-event {event!r} is not a scheduler "
-            f"lifecycle verb (known: {', '.join(SCHED_EVENTS)})"
+            f"{where}: sched-event {event!r} is not a run-log "
+            f"verb (known: {', '.join(SCHED_EVENTS)})"
         )
     if event in ("lease", "requeue", "reclaim", "complete", "error"):
         cid = obj.get("cell_id", "")
         if not (isinstance(cid, str) and re.fullmatch(r"[0-9a-f]{16}", cid)):
             errors.append(f"{where}: cell_id {cid!r} is not 16 hex digits")
+    if event == "start":
+        errors.extend(_check_keys(obj, START_EVENT_KEYS, "start event", where))
+        fp = obj.get("spec_fingerprint", "")
+        if not re.fullmatch(r"[0-9a-f]{16}", fp):
+            errors.append(
+                f"{where}: spec_fingerprint {fp!r} is not 16 hex digits"
+            )
     return errors
 
 
@@ -379,8 +363,6 @@ def check_file(path: Path) -> list[str]:
                 errors.extend(_check_keys(obj, INSTANT_KEYS, "instant", where))
             elif kind == TRACE_SUMMARY_KIND:
                 errors.extend(check_trace_summary(obj, where))
-            elif kind == STATUS_KIND:
-                errors.extend(check_status_record(obj, where))
             elif kind == SCHED_EVENT_KIND:
                 errors.extend(check_sched_event(obj, where))
             elif kind == PATH_KIND:

@@ -129,45 +129,35 @@ def execute_cell(cell: SweepCell, options: CellOptions = CellOptions()) -> dict:
         raise KeyError(
             f"unknown protocol {cell.protocol!r}; known: {sorted(PROTOCOLS)}"
         )
-    proto = PROTOCOLS[cell.protocol]()
-    engine = None
+    from ..simulation import SimulationEngine
+
+    tel = Telemetry() if options.telemetry else None
+    engine = SimulationEngine(
+        cell.config,
+        PROTOCOLS[cell.protocol](),
+        stop_on_death=cell.stop_on_death,
+        telemetry=tel,
+    )
     ckpt_tag = None
     if options.checkpoint_dir is not None and options.checkpoint_every:
-        from ..checkpoint import latest_valid
+        from ..checkpoint import checkpoint_tag, latest_valid, run_signature
 
-        ckpt_tag = f"{cell.protocol}-{cell.config_fingerprint}"
-        expected_run = {
-            "protocol": proto.name,
-            "stop_on_death": bool(cell.stop_on_death),
-            "batched": True,
-            "telemetry": bool(options.telemetry),
-            "tracer": False,
-            "trace": False,
-        }
+        ckpt_tag = checkpoint_tag(cell.protocol, cell.config_fingerprint)
+        # A snapshot resumes only the run this fresh engine would be.
         found = latest_valid(
             options.checkpoint_dir,
             ckpt_tag,
             config_fingerprint=cell.config_fingerprint,
-            run=expected_run,
+            run=run_signature(engine),
         )
         if found is not None:
             path, header, engine = found
             _log_resume(options.checkpoint_dir, ckpt_tag, header, path)
-    tel = Telemetry() if options.telemetry else None
-    if engine is None:
-        from ..simulation import SimulationEngine
-
-        engine = SimulationEngine(
-            cell.config,
-            proto,
-            stop_on_death=cell.stop_on_death,
-            telemetry=tel,
-        )
-    elif options.telemetry:
-        # The snapshot carries the half-accumulated telemetry of the
-        # interrupted attempt; the finished cell's snapshot must come
-        # from it, not from a fresh handle.
-        tel = engine.telemetry
+            if options.telemetry:
+                # The snapshot carries the half-accumulated telemetry
+                # of the interrupted attempt; the finished cell's
+                # snapshot must come from it, not from the fresh handle.
+                tel = engine.telemetry
     result = engine.run(
         checkpoint_every=options.checkpoint_every,
         checkpoint_dir=options.checkpoint_dir,
@@ -315,7 +305,6 @@ def sweep_from_spec(
             num_workers=max_workers,
             serial=serial,
             lease_seconds=math.inf,
-            max_lease_attempts=1,
         )
         merged = merge_artifacts([run.path])
     if merged.errors:

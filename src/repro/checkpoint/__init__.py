@@ -16,6 +16,7 @@ from .snapshot import (
     CheckpointVersionError,
     CheckpointWriter,
     DrainInterrupted,
+    checkpoint_tag,
     latest_valid,
     read_checkpoint,
     run_signature,
@@ -33,6 +34,7 @@ __all__ = [
     "CheckpointVersionError",
     "CheckpointWriter",
     "DrainInterrupted",
+    "checkpoint_tag",
     "latest_valid",
     "read_checkpoint",
     "run_signature",

@@ -75,6 +75,7 @@ __all__ = [
     "CheckpointVersionError",
     "CheckpointWriter",
     "DrainInterrupted",
+    "checkpoint_tag",
     "latest_valid",
     "read_checkpoint",
     "run_signature",
@@ -157,6 +158,17 @@ class DrainInterrupted(Exception):
         super().__init__(
             f"run drained after round {self.round_index} ({where})"
         )
+
+
+def checkpoint_tag(*parts) -> str:
+    """The snapshot tag of a run: ``parts`` joined by ``-``.
+
+    Every ``/`` (the ``qlec/*`` ablation names have one) becomes ``_``,
+    so snapshots land directly in the checkpoint directory; a tag
+    without ``/`` is the plain join, so existing snapshots still
+    resume.
+    """
+    return "-".join(str(p) for p in parts).replace("/", "_")
 
 
 def run_signature(engine: "SimulationEngine") -> dict:

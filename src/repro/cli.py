@@ -191,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recompute every cell even if the artifact "
                           "already has matching rows")
     swp.add_argument("--retries", type=_non_negative_int, default=1,
-                     help="extra in-worker attempts before a cell is "
-                          "recorded as an error row")
+                     help="re-leases a cell gets after a transient "
+                          "failure, a dead worker or an expired lease, "
+                          "before it is recorded as an error row")
     swp.add_argument("--serial", action="store_true",
                      help="run the cells in this process, in order")
     swp.add_argument("--workers", type=_positive_int, default=None)
@@ -305,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         "status", help="render live progress of sharded sweep invocations"
     )
     stat.add_argument("paths", type=str, nargs="+",
-                      help="artifact paths, status sidecars, or directories "
-                           "to scan for *.status.jsonl")
+                      help="artifact paths, run logs, or directories "
+                           "to scan for *.events.jsonl")
 
     sub.add_parser("version", help="package and kernel-dependency versions")
 
@@ -488,7 +489,7 @@ def _cmd_scenario(args) -> int:
         telemetry=tel, backend=args.backend, tracer=tracer,
     )
     if args.checkpoint_every:
-        from .checkpoint import DrainInterrupted
+        from .checkpoint import DrainInterrupted, checkpoint_tag
         from .parallel import drain_on_signals
 
         with drain_on_signals() as stop:
@@ -497,8 +498,8 @@ def _cmd_scenario(args) -> int:
                     checkpoint_every=args.checkpoint_every,
                     checkpoint_dir=args.checkpoint_dir,
                     checkpoint_keep_last=args.keep_last,
-                    checkpoint_tag=(
-                        f"{args.protocol}-{args.name}-s{args.seed}"
+                    checkpoint_tag=checkpoint_tag(
+                        args.protocol, args.name, f"s{args.seed}"
                     ),
                     stop_requested=stop,
                 )
@@ -699,7 +700,10 @@ def _cmd_status(args) -> int:
 
     files = find_status_files(args.paths)
     if not files:
-        print("error: no status sidecars found", file=sys.stderr)
+        print(
+            "error: no status sidecars (*.events.jsonl run logs) found",
+            file=sys.stderr,
+        )
         return 2
     rows = []
     statuses = []
@@ -720,7 +724,7 @@ def _cmd_status(args) -> int:
             "done": st["done"],
             "failed": st["failed"],
             "retried": st["retried"],
-            "reclaimed": st.get("reclaimed", 0),
+            "reclaimed": st["reclaimed"],
             "total": st["cells_total"],
             "cell_s": "-" if ewma is None else f"{ewma:.2f}",
             "eta_s": "-" if eta is None else f"{eta:.1f}",

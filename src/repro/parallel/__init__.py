@@ -10,6 +10,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SweepRunResult",
         "SweepScheduler",
         "default_workers",
+        "find_status_files",
+        "load_status",
         "run_scheduled",
         "scheduler_events_path",
     ),
@@ -29,12 +31,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "write_merged_artifact",
     ),
     ".signals": ("DrainFlag", "drain_on_signals"),
-    ".status": (
-        "STATUS_KIND",
-        "STATUS_SCHEMA",
-        "ShardStatusWriter",
-        "find_status_files",
-        "load_status",
-        "shard_status_path",
-    ),
 })

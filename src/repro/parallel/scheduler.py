@@ -22,7 +22,8 @@ Two layers:
   fault taxonomy of :func:`~repro.parallel.sharding.classify_error`: a
   *deterministic* failure becomes a ``cell-error`` row immediately
   (replaying a pure function cannot change the outcome); a *transient*
-  one re-leases up to ``max_lease_attempts`` times.  The machine
+  one, like a reclaim, spends one grant of the cell's
+  ``max_lease_attempts``.  The lease is the only retry.  The machine
   guarantees **exactly-once rows**: however leases, reclaims, and
   duplicate completions interleave, each cell contributes exactly one
   ``cell`` or ``cell-error`` record (the hypothesis property suite
@@ -42,11 +43,14 @@ Two layers:
   optionally gzip compressed), so ``merge_artifacts`` and
   ``repro merge`` consume it unchanged.
 
-Scheduler *events* (lease grants, reclaims, requeues, worker deaths,
-duplicate drops) are appended to an ``<artifact>.events.jsonl``
-sidecar — like the status sidecar, they are per-run ephemera that never
-merge or fingerprint, but they make a chaotic run auditable: the chaos
-tests assert re-lease decisions from them.
+The run log is the ``<artifact>.events.jsonl`` sidecar: every state
+machine event (lease grants, reclaims, requeues, worker deaths,
+duplicate drops, completions) plus the driver's ``start``,
+``draining``, ``stopped`` and ``finish`` markers, each stamped with
+the coordinator's monotonic clock reading ``t``.  It is per-run
+ephemera that never merges or fingerprints.  The chaos tests assert
+re-lease decisions from it, and :func:`load_status` folds it into the
+progress row ``repro status`` prints.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from ..telemetry.jsonl import JsonlWriter
+from ..telemetry.jsonl import JsonlWriter, read_jsonl_tolerant
 from ..telemetry.manifest import shard_manifest
 from .sharding import (
     CELL_KIND,
@@ -77,7 +81,6 @@ from .sharding import (
     rewrite_artifact,
     telemetry_trailer,
 )
-from .status import ShardStatusWriter
 
 __all__ = [
     "SCHED_EVENT_KIND",
@@ -85,6 +88,8 @@ __all__ = [
     "SweepRunResult",
     "SweepScheduler",
     "default_workers",
+    "find_status_files",
+    "load_status",
     "run_scheduled",
     "scheduler_events_path",
 ]
@@ -97,10 +102,13 @@ SCHED_EVENT_KIND = "sched-event"
 #: straggler backstop, pipe EOF is the fast death path.
 DEFAULT_LEASE_SECONDS = 300.0
 
-#: Default bound on lease attempts per cell: a cell that keeps taking
-#: its worker down with it must eventually become an error row, not an
-#: infinite respawn loop.
-DEFAULT_MAX_LEASE_ATTEMPTS = 3
+#: Default re-leases per cell after its first grant: a cell that keeps
+#: failing transiently, or taking its worker down with it, must
+#: eventually become an error row, not an infinite respawn loop.
+DEFAULT_RETRIES = 1
+
+#: Smoothing factor of the per-cell latency EWMA in :func:`load_status`.
+EWMA_ALPHA = 0.3
 
 
 def scheduler_events_path(artifact_path) -> Path:
@@ -160,8 +168,9 @@ class SweepScheduler:
         order; a requeued cell goes to the back.
     lease_seconds / max_lease_attempts:
         Lease duration (``math.inf``: leases never expire) and the
-        per-cell bound on grants; exceeding the bound synthesises a
-        transient ``LeaseExhausted`` error row.
+        per-cell bound on grants.  A transient failure, an expired
+        lease and a dead worker each spend one grant; a reclaim past
+        the bound synthesises a transient ``LeaseExhausted`` error row.
 
     Every cell is, at any instant, in exactly one of four places:
     queued, leased, finished-as-row, or finished-as-error
@@ -175,7 +184,7 @@ class SweepScheduler:
         cells: list[SweepCell],
         *,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        max_lease_attempts: int = DEFAULT_MAX_LEASE_ATTEMPTS,
+        max_lease_attempts: int = 1 + DEFAULT_RETRIES,
     ) -> None:
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
@@ -212,12 +221,19 @@ class SweepScheduler:
         return None
 
     # -- events --------------------------------------------------------
-    def _event(self, event: str, **payload) -> dict:
+    def event(self, event: str, now: float, **payload) -> dict:
+        """Append one event to the run log, stamped ``t=now``.
+
+        The machine logs its own transitions; the driver adds its
+        lifecycle markers (``start``/``draining``/``stopped``/
+        ``finish``) here too, so one gapless ``seq`` orders them all.
+        """
         self._seq += 1
         record = {
             "kind": SCHED_EVENT_KIND,
             "seq": self._seq,
             "event": event,
+            "t": now,
             **payload,
         }
         self.events.append(record)
@@ -244,7 +260,9 @@ class SweepScheduler:
             granted_at=now,
             deadline=now + self.lease_seconds,
         )
-        self._event("lease", cell_id=cell_id, worker=worker, attempt=attempt)
+        self.event(
+            "lease", now, cell_id=cell_id, worker=worker, attempt=attempt
+        )
         return self.cells[cell_id]
 
     # -- expiry --------------------------------------------------------
@@ -265,14 +283,15 @@ class SweepScheduler:
         reclaimed = []
         for lease in expired:
             self.reclaims += 1
-            self._event(
+            self.event(
                 "reclaim",
+                now,
                 cell_id=lease.cell_id,
                 worker=lease.worker,
                 attempt=lease.attempt,
                 reason="lease-expired",
             )
-            self._requeue_or_exhaust(lease, reason="lease-expired")
+            self._requeue_or_exhaust(lease, now, reason="lease-expired")
             reclaimed.append(lease.cell_id)
         return reclaimed
 
@@ -284,8 +303,9 @@ class SweepScheduler:
         the attempt budget.
         """
         lease = self.lease_of(worker)
-        self._event(
+        self.event(
             "worker-dead",
+            now,
             worker=worker,
             cell_id=None if lease is None else lease.cell_id,
             reason=reason,
@@ -293,16 +313,17 @@ class SweepScheduler:
         if lease is None:
             return
         self.reclaims += 1
-        self._event(
+        self.event(
             "reclaim",
+            now,
             cell_id=lease.cell_id,
             worker=worker,
             attempt=lease.attempt,
             reason=reason,
         )
-        self._requeue_or_exhaust(lease, reason=reason)
+        self._requeue_or_exhaust(lease, now, reason=reason)
 
-    def _requeue_or_exhaust(self, lease: Lease, reason: str) -> None:
+    def _requeue_or_exhaust(self, lease: Lease, now: float, reason: str) -> None:
         del self.leases[lease.cell_id]
         if lease.attempt >= self.max_lease_attempts:
             cell = self.cells[lease.cell_id]
@@ -318,8 +339,9 @@ class SweepScheduler:
                 },
                 lease.attempt,
             )
-            self._event(
+            self.event(
                 "error",
+                now,
                 cell_id=lease.cell_id,
                 worker=lease.worker,
                 attempt=lease.attempt,
@@ -328,8 +350,9 @@ class SweepScheduler:
             )
         else:
             self.queue.append(lease.cell_id)
-            self._event(
+            self.event(
                 "requeue",
+                now,
                 cell_id=lease.cell_id,
                 attempt=lease.attempt,
                 reason=reason,
@@ -348,13 +371,15 @@ class SweepScheduler:
         deterministic, so the dropped copy carried the same values.  A
         result from a worker that lost its lease but whose cell is
         still unfinished is *accepted*: the computation is valid
-        regardless of who holds the paper.
+        regardless of who holds the paper.  ``attempts`` is the grant
+        number of the lease that computed the result; the row records
+        it.
         """
         if cell_id not in self.cells:
             raise ValueError(f"unknown cell {cell_id}")
         if cell_id in self.rows or cell_id in self.errors:
             self.duplicates += 1
-            self._event("duplicate", cell_id=cell_id, worker=worker)
+            self.event("duplicate", now, cell_id=cell_id, worker=worker)
             return None
         if self.leases.pop(cell_id, None) is None:
             # Neither leased nor finished, so queued: a late result for
@@ -362,8 +387,8 @@ class SweepScheduler:
             self.queue.remove(cell_id)
         record = _cell_record(self.cells[cell_id], summary, attempts)
         self.rows[cell_id] = record
-        self._event(
-            "complete", cell_id=cell_id, worker=worker, attempt=attempts
+        self.event(
+            "complete", now, cell_id=cell_id, worker=worker, attempt=attempts
         )
         return record
 
@@ -373,6 +398,8 @@ class SweepScheduler:
         """Record one cell failure; returns an error record iff the
         cell is now finished (deterministic failure or exhausted
         budget), ``None`` if it re-leased or the report was stale.
+        ``attempts`` is the grant number of the failed lease, as in
+        :meth:`complete`.
 
         ``error`` is the payload :func:`_guarded_cell` ships home
         (``type``/``message``/``class``).  The ``class`` decides:
@@ -384,7 +411,7 @@ class SweepScheduler:
             raise ValueError(f"unknown cell {cell_id}")
         if cell_id in self.rows or cell_id in self.errors:
             self.duplicates += 1
-            self._event("duplicate", cell_id=cell_id, worker=worker)
+            self.event("duplicate", now, cell_id=cell_id, worker=worker)
             return None
         lease = self.leases.get(cell_id)
         if lease is None or lease.worker != worker:
@@ -393,17 +420,16 @@ class SweepScheduler:
             # the reclaim didn't already — acting on it would queue the
             # cell twice.  Late *successes* are different: complete()
             # accepts them whoever reports, first result wins.
-            self._event(
-                "stale-failure", cell_id=cell_id, worker=worker
-            )
+            self.event("stale-failure", now, cell_id=cell_id, worker=worker)
             return None
         del self.leases[cell_id]
         grants = self.attempts.get(cell_id, 1)
         if error.get("class") == "deterministic" or grants >= self.max_lease_attempts:
             record = _error_record(self.cells[cell_id], error, attempts)
             self.errors[cell_id] = record
-            self._event(
+            self.event(
                 "error",
+                now,
                 cell_id=cell_id,
                 worker=worker,
                 attempt=grants,
@@ -412,8 +438,9 @@ class SweepScheduler:
             )
             return record
         self.queue.append(cell_id)
-        self._event(
+        self.event(
             "requeue",
+            now,
             cell_id=cell_id,
             attempt=grants,
             reason=f"transient-{error.get('type', 'error')}",
@@ -450,15 +477,14 @@ class SweepScheduler:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, cell_fn, options: CellOptions, retries: int) -> None:
-    """Worker-process loop: recv a cell, run it guarded, send the result;
-    ``None`` stops the loop."""
+def _worker_main(conn, cell_fn, options: CellOptions) -> None:
+    """Worker-process loop: recv a leased ``(cell, attempt)``, run it
+    once, send the report home; ``None`` stops the loop."""
     try:
-        while (cell := conn.recv()) is not None:
-            status, payload, attempts = _guarded_cell(
-                cell_fn, (cell, options), retries
-            )
-            conn.send((cell.cell_id, status, payload, attempts))
+        while (job := conn.recv()) is not None:
+            cell, attempt = job
+            status, payload = _guarded_cell(cell_fn, (cell, options))
+            conn.send((cell.cell_id, status, payload, attempt))
     except (EOFError, KeyboardInterrupt, BrokenPipeError):
         return
 
@@ -575,10 +601,9 @@ def run_scheduled(
     num_workers: int | None = None,
     serial: bool = False,
     resume: bool = True,
-    retries: int = 0,
+    retries: int = DEFAULT_RETRIES,
     cell_fn: Callable | None = None,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_lease_attempts: int = DEFAULT_MAX_LEASE_ATTEMPTS,
     compression: str | None = None,
     poll_seconds: float = 0.1,
     mp_context: str | None = None,
@@ -611,16 +636,13 @@ def run_scheduled(
     exception that is not an ``Exception`` propagates to the caller);
     otherwise ``num_workers`` processes each hold one lease at a time.
 
-    Worker deaths (pipe EOF) reclaim the dead worker's lease and
-    respawn a replacement; lease expiry (``lease_seconds``;
-    ``math.inf`` turns it off) is the backstop for wedged-but-alive
-    workers.  A transient failure first
-    spends ``retries`` extra in-worker attempts; deterministic failures
-    become ``cell-error`` rows immediately; transient ones re-lease up
-    to ``max_lease_attempts`` grants.  ``cell_fn(cell, options)``
-    replaces the default executor
-    (:func:`repro.analysis.sweep.execute_cell`) — the fault-injection
-    seam of the tests.
+    Every cell gets ``1 + retries`` lease grants.  A transient failure,
+    a dead worker (pipe EOF; the coordinator respawns a replacement) and
+    an expired lease (``lease_seconds``; ``math.inf`` turns expiry off)
+    each spend one; a deterministic failure becomes a ``cell-error``
+    row at once.  ``cell_fn(cell, options)`` replaces the default
+    executor (:func:`repro.analysis.sweep.execute_cell`) — the
+    fault-injection seam of the tests.
 
     ``checkpoint_every`` + ``checkpoint_dir`` make every cell
     preemptible (see :class:`~repro.parallel.sharding.CellOptions`): a
@@ -631,8 +653,8 @@ def run_scheduled(
     ``stop_requested`` (e.g. a
     :class:`~repro.parallel.signals.DrainFlag`) makes the coordinator
     drain gracefully: once it returns true, no new leases are granted,
-    in-flight cells finish and their rows are accepted, the status
-    sidecar passes through ``draining`` to ``stopped``, and a later
+    in-flight cells finish and their rows are accepted, the run log
+    records ``draining`` and then ``stopped``, and a later
     ``resume=True`` call computes exactly the remaining cells.  A flag
     already latched when the run starts spawns no worker process.
     """
@@ -664,19 +686,39 @@ def run_scheduled(
         skipped=sorted(retained),
         events_path=scheduler_events_path(out_path),
     )
-    progress = ShardStatusWriter(
-        out_path,
+    scheduler = SweepScheduler(
+        pending,
+        lease_seconds=lease_seconds,
+        max_lease_attempts=1 + retries,
+    )
+    scheduler.event(
+        "start",
+        time.monotonic(),
         spec_fingerprint=spec.fingerprint,
         shard=marker[0],
         num_shards=marker[1],
         cells_total=len(cells),
+        resumed=len(retained),
+        unix=time.time(),
     )
+    events = JsonlWriter(result.events_path, compression="none")
+    events_flushed = 0
 
+    def _drain_events() -> None:
+        nonlocal events_flushed
+        while events_flushed < len(scheduler.events):
+            events.write_record(scheduler.events[events_flushed])
+            events_flushed += 1
+        events.flush()
+
+    # The log opens with its start marker before any cell runs.
+    _drain_events()
     if not pending and not stale:
         # Complete, canonical artifact: recompute nothing, leave the
-        # bytes untouched, refresh only the status sidecar.
-        progress.start(resumed=len(retained))
-        progress.finish()
+        # bytes untouched, close the refreshed log.
+        scheduler.event("finish", time.monotonic())
+        _drain_events()
+        events.close()
         return result
 
     # Atomic canonical rewrite (manifest + retained rows), then stream
@@ -692,7 +734,7 @@ def run_scheduled(
                 "lease_seconds": (
                     float(lease_seconds) if math.isfinite(lease_seconds) else None
                 ),
-                "max_lease_attempts": int(max_lease_attempts),
+                "max_lease_attempts": scheduler.max_lease_attempts,
                 "compression": codec,
             }
         },
@@ -701,22 +743,6 @@ def run_scheduled(
         retained[c.cell_id] for c in cells if c.cell_id in retained
     ]
     rewrite_artifact(out_path, codec, [manifest, *records])
-    progress.start(resumed=len(retained))
-
-    scheduler = SweepScheduler(
-        pending,
-        lease_seconds=lease_seconds,
-        max_lease_attempts=max_lease_attempts,
-    )
-    events = JsonlWriter(result.events_path, compression="none")
-    events_flushed = 0
-
-    def _drain_events() -> None:
-        nonlocal events_flushed
-        while events_flushed < len(scheduler.events):
-            events.write_record(scheduler.events[events_flushed])
-            events_flushed += 1
-        events.flush()
 
     if cell_fn is None:
         # Deferred: repro.analysis imports this package at module scope.
@@ -727,7 +753,7 @@ def run_scheduled(
         checkpoint_dir=checkpoint_dir,
         checkpoint_keep_last=checkpoint_keep_last,
     )
-    worker_args = (cell_fn, options, retries)
+    worker_args = (cell_fn, options)
     ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
     fleet: dict[str, _Worker] = {}
     deaths = 0
@@ -735,7 +761,7 @@ def run_scheduled(
 
     fh = JsonlWriter(out_path, compression=codec, append=True)
 
-    def _accept(record: dict, *, error: bool, attempts: int) -> None:
+    def _accept(record: dict, *, error: bool) -> None:
         records.append(record)
         if error:
             result.errors.append(record)
@@ -743,17 +769,18 @@ def run_scheduled(
             result.executed.append(record["cell_id"])
         fh.write_line(_dump(record))
         fh.flush()
-        progress.reclaimed = scheduler.reclaims
-        progress.cell_finished(error=error, attempts=attempts)
 
-    def _report(worker: str, cell_id: str, status, payload, attempts) -> None:
+    def _report(worker: str, cell_id: str, status, payload, attempt) -> None:
         now = time.monotonic()
         if status == "ok":
-            record = scheduler.complete(worker, cell_id, payload, attempts, now)
+            record = scheduler.complete(worker, cell_id, payload, attempt, now)
         else:
-            record = scheduler.fail(worker, cell_id, payload, attempts, now)
+            record = scheduler.fail(worker, cell_id, payload, attempt, now)
         if record is not None:
-            _accept(record, error=status != "ok", attempts=attempts)
+            _accept(record, error=status != "ok")
+        # The log shows the cell finished before anything else happens
+        # (a drain flag may poll it).
+        _drain_events()
 
     def _flush_synthetic_errors() -> None:
         """Error rows minted *inside* the state machine (LeaseExhausted
@@ -762,14 +789,14 @@ def run_scheduled(
         recorded = {r["cell_id"] for r in result.errors}
         for cell_id, record in scheduler.errors.items():
             if cell_id not in recorded:
-                _accept(record, error=True, attempts=record["attempts"])
+                _accept(record, error=True)
 
     def _assign(worker: _Worker) -> None:
         cell = scheduler.acquire(worker.name, time.monotonic())
         if cell is None:
             return
         try:
-            worker.conn.send(cell)
+            worker.conn.send((cell, scheduler.attempts[cell.cell_id]))
         except (BrokenPipeError, OSError):
             _bury(worker, reason="send-failed")
 
@@ -796,14 +823,16 @@ def run_scheduled(
         nonlocal draining
         if not draining and stop_requested is not None and stop_requested():
             draining = True
-            progress.draining()
+            scheduler.event("draining", time.monotonic())
         return draining
 
     def _run_inline() -> None:
         while (cell := scheduler.acquire("w0", time.monotonic())) is not None:
-            outcome = _guarded_cell(cell_fn, (cell, options), retries)
-            _report("w0", cell.cell_id, *outcome)
-            _drain_events()
+            status, payload = _guarded_cell(cell_fn, (cell, options))
+            _report(
+                "w0", cell.cell_id, status, payload,
+                scheduler.attempts[cell.cell_id],
+            )
             if _check_drain():
                 return
 
@@ -847,6 +876,9 @@ def run_scheduled(
         # computes exactly the missing cells.
         if spec.telemetry and scheduler.finished:
             fh.write_line(_dump(telemetry_trailer(records)))
+        scheduler.event(
+            "finish" if scheduler.finished else "stopped", time.monotonic()
+        )
     finally:
         fh.close()
         for worker in list(fleet.values()):
@@ -854,11 +886,92 @@ def run_scheduled(
         _drain_events()
         events.close()
 
-    result.reclaims = progress.reclaimed = scheduler.reclaims
+    result.reclaims = scheduler.reclaims
     result.duplicates = scheduler.duplicates
     result.worker_deaths = deaths
-    if draining and not scheduler.finished:
-        progress.stopped()
-    else:
-        progress.finish()
     return result
+
+
+def load_status(path) -> dict:
+    """Fold one run log into the progress row ``repro status`` prints.
+
+    The log is read tolerantly (a live log's torn final line is
+    dropped), and the fold starts at its last ``start`` marker.  ``done``
+    counts resumed and finished cells, ``failed`` the error rows among
+    them, ``retried`` the finished cells that took more than one lease
+    grant, and ``reclaimed`` the reclaimed leases.
+    ``ewma_cell_seconds`` smooths the gaps between finished cells, and
+    ``eta_seconds`` is it times the cells remaining (``None`` before
+    the first finish, ``0.0`` once none remain).  Event times are the
+    coordinator's monotonic ``t``; the ``start`` marker's ``unix``
+    anchors them to the wall clock for ``updated_unix``.  Raises
+    ``ValueError`` when the log holds no ``start`` marker.
+    """
+    events = read_jsonl_tolerant(path)
+    starts = [i for i, e in enumerate(events) if e.get("event") == "start"]
+    if not starts:
+        raise ValueError(f"{path}: run log has no 'start' event")
+    start, *rest = events[starts[-1]:]
+    done = start["resumed"]
+    failed = retried = reclaimed = 0
+    ewma: float | None = None
+    t_last = start["t"]
+    state = "running"
+    for e in rest:
+        verb = e["event"]
+        if verb in ("complete", "error"):
+            done += 1
+            failed += verb == "error"
+            retried += e["attempt"] > 1
+            dt, t_last = e["t"] - t_last, e["t"]
+            ewma = dt if ewma is None else ewma + EWMA_ALPHA * (dt - ewma)
+        elif verb == "reclaim":
+            reclaimed += 1
+        elif verb in ("draining", "stopped"):
+            state = verb
+        elif verb == "finish":
+            state = "complete"
+    remaining = max(0, start["cells_total"] - done)
+    if state == "complete" or remaining == 0:
+        eta: float | None = 0.0
+    else:
+        eta = None if ewma is None else ewma * remaining
+    return {
+        "spec_fingerprint": start["spec_fingerprint"],
+        "shard": start["shard"],
+        "num_shards": start["num_shards"],
+        "cells_total": start["cells_total"],
+        "done": done,
+        "failed": failed,
+        "retried": retried,
+        "resumed": start["resumed"],
+        "reclaimed": reclaimed,
+        "ewma_cell_seconds": ewma,
+        "eta_seconds": eta,
+        "updated_unix": start["unix"] + (events[-1]["t"] - start["t"]),
+        "state": state,
+    }
+
+
+def find_status_files(paths) -> list[Path]:
+    """Resolve ``repro status`` operands to run logs.
+
+    A directory contributes every ``*.events.jsonl`` beneath it
+    (sorted); a run log contributes itself; any other file path
+    contributes its own run log when one exists.  Duplicates are
+    dropped, first mention wins.
+    """
+    found: list[Path] = []
+    for raw in paths:
+        p = Path(raw)
+        if p.is_dir():
+            found.extend(sorted(p.glob("**/*.events.jsonl")))
+        elif p.name.endswith(".events.jsonl"):
+            if p.exists():
+                found.append(p)
+        elif scheduler_events_path(p).exists():
+            found.append(scheduler_events_path(p))
+    unique: dict[Path, Path] = {}
+    for p in found:
+        unique.setdefault(p.resolve(), p)
+    return list(unique.values())

@@ -33,7 +33,7 @@ A shard writes one JSONL artifact: a ``shard-manifest`` header
 (shard ``k/K``, the full sweep spec, and the spec fingerprint), then
 one record per cell — ``cell`` rows carrying the summary (and the
 cell's telemetry snapshot when instrumented) or ``cell-error`` rows
-when a worker kept failing after retries — and a ``shard-telemetry``
+when a cell kept failing through its lease grants — and a ``shard-telemetry``
 trailer with the shard-level merged snapshot.  Rows are appended as
 results stream back, so a crash loses at most the in-flight cells:
 rerunning with ``resume=True`` skips every cell whose row is already
@@ -446,16 +446,15 @@ def classify_error(exc: BaseException) -> str:
 
     Deterministic failures will reproduce on every retry of the same
     cell (same config, same seed, same code); transient ones might not.
-    The class drives the retry policy in :func:`_guarded_cell`, the
-    re-lease policy in :class:`repro.parallel.scheduler.SweepScheduler`
-    (deterministic failures become ``cell-error`` rows immediately;
-    transient ones re-lease), and is recorded on ``cell-error``
-    artifact rows so a merge report can tell "rerun these shards"
-    casualties from "fix the code" ones.  ``KeyboardInterrupt`` /
-    ``SystemExit`` classify transient — an interrupted worker says
-    nothing about the cell — though :func:`_guarded_cell` never absorbs
-    them (BaseException rips through; the scheduler sees a dead
-    worker instead).
+    The class drives the re-lease policy in
+    :class:`repro.parallel.scheduler.SweepScheduler` (deterministic
+    failures become ``cell-error`` rows immediately; transient ones
+    re-lease), and is recorded on ``cell-error`` artifact rows so a
+    merge report can tell "rerun these shards" casualties from "fix
+    the code" ones.  ``KeyboardInterrupt`` / ``SystemExit`` classify
+    transient — an interrupted worker says nothing about the cell —
+    though :func:`_guarded_cell` never absorbs them (BaseException
+    rips through; the scheduler sees a dead worker instead).
     """
     return (
         "deterministic"
@@ -464,33 +463,21 @@ def classify_error(exc: BaseException) -> str:
     )
 
 
-def _guarded_cell(cell_fn: Callable, args: tuple, retries: int) -> tuple:
-    """Run ``cell_fn(*args)`` in a worker without ever raising.
+def _guarded_cell(cell_fn: Callable, args: tuple) -> tuple[str, dict]:
+    """Run ``cell_fn(*args)`` once in a worker without ever raising.
 
-    A transient failure is retried up to ``retries`` extra times in
-    place; a deterministic one is recorded after the first attempt,
-    since replaying an identical computation cannot change its outcome
-    (see :func:`classify_error`).  Either way an error payload comes
-    home so the run completes and records the casualty.
+    Returns ``("ok", summary)``, or ``("error", payload)`` with the
+    failure's type, message and :func:`classify_error` class, so the
+    run completes and the scheduler decides whether the cell re-leases.
     """
-    last: Exception | None = None
-    attempts = 0
-    for attempts in range(1, retries + 2):
-        try:
-            return ("ok", cell_fn(*args), attempts)
-        except Exception as exc:  # noqa: BLE001 - worker boundary
-            last = exc
-            if classify_error(exc) == "deterministic":
-                break
-    return (
-        "error",
-        {
-            "type": type(last).__name__,
-            "message": str(last),
-            "class": classify_error(last),
-        },
-        attempts,
-    )
+    try:
+        return "ok", cell_fn(*args)
+    except Exception as exc:  # noqa: BLE001 - worker boundary
+        return "error", {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "class": classify_error(exc),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +579,6 @@ def run_shard(
     out_path,
     *,
     max_workers: int | None = None,
-    retries: int = 1,
     lease_seconds: float = math.inf,
     **options,
 ):
@@ -600,14 +586,13 @@ def run_shard(
 
     The shard is the rank partition's slice of the grid (1-based
     ``shard``, as in ``--shard k/K``), run by the one sweep executor,
-    :func:`repro.parallel.scheduler.run_scheduled`, with re-leasing
-    off: a cell gets its ``retries`` extra in-worker attempts and then
-    an error row, never a second lease.  Leases never expire unless
-    ``lease_seconds`` is given — with a single lease per cell, expiry
-    could only turn a slow cell into an error row.  ``options`` are
-    that function's keyword arguments (``resume``, ``serial``,
-    ``cell_fn``, ``compression``, checkpointing, ``stop_requested``,
-    ...).
+    :func:`repro.parallel.scheduler.run_scheduled`, with the same
+    ``retries`` lease budget as any other run.  Leases never expire
+    unless ``lease_seconds`` is given: a shard runs no straggler
+    backstop, so expiry would only run a slow cell twice.  ``options``
+    are that function's keyword arguments (``resume``, ``serial``,
+    ``retries``, ``cell_fn``, ``compression``, checkpointing,
+    ``stop_requested``, ...).
     """
     from .scheduler import run_scheduled
 
@@ -616,9 +601,7 @@ def run_shard(
         out_path,
         shard=(shard, num_shards),
         num_workers=max_workers,
-        retries=retries,
         lease_seconds=lease_seconds,
-        max_lease_attempts=1,
         **options,
     )
 

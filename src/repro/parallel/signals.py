@@ -3,12 +3,12 @@
 ``kill -TERM`` (or Ctrl-C) against a shard runner or the scheduler
 should not tear the process mid-cell: artifacts are append-only and
 atomic per row, but an abrupt exit discards the in-flight cell's work
-and leaves the status sidecar claiming ``running`` forever.
+and leaves the run log claiming ``running`` forever.
 :func:`drain_on_signals` installs SIGTERM/SIGINT handlers that merely
 *latch* a :class:`DrainFlag`; the work loops poll
 the flag at safe boundaries (cell boundaries for sweeps, round
 boundaries inside a checkpointing engine), finish the unit they are
-on, snapshot/republish status, and return cleanly.
+on, snapshot and log the stop, and return cleanly.
 
 A second signal while draining falls back to the previously installed
 handler (typically ``KeyboardInterrupt``/termination), so an operator

@@ -1,7 +1,7 @@
 """Compressed, torn-tail-tolerant JSONL: the one reader all artifacts share.
 
 Every durable artifact in this repo — shard artifacts, trace dumps,
-status sidecars — is JSONL written append-and-flush, so a crash leaves
+sweep run logs — is JSONL written append-and-flush, so a crash leaves
 at most one partial trailing line.  Every reader goes through the same
 tolerant primitive, which also understands gzip streams (``gz``, via
 the stdlib).

@@ -20,7 +20,7 @@ from repro.parallel import (
     load_status,
     run_scheduled,
     run_shard,
-    shard_status_path,
+    scheduler_events_path,
 )
 from repro.simulation import SimulationEngine
 from repro.telemetry import Telemetry
@@ -99,6 +99,19 @@ class TestRunCellResume:
         assert log[0]["kind"] == "checkpoint-resume"
         assert log[0]["round_index"] == 3  # restored, not recomputed
 
+    def test_ablation_variant_snapshots_stay_in_the_checkpoint_dir(
+        self, tmp_path
+    ):
+        # The "/" of a qlec/* name must not open a subdirectory, and a
+        # rerun of the finished cell still resumes from its snapshots.
+        kwargs = dict(rounds=4, checkpoint_every=2, checkpoint_dir=str(tmp_path))
+        first = run_cell("qlec/no-rotation", 4.0, 0, **kwargs)
+        snapshots = sorted(tmp_path.rglob("*.ckpt"))
+        assert snapshots and all(p.parent == tmp_path for p in snapshots)
+        assert run_cell("qlec/no-rotation", 4.0, 0, **kwargs) == first
+        (log,) = tmp_path.glob("qlec_no-rotation-*.resume.jsonl")
+        assert json.loads(log.read_text())["round_index"] == 4
+
     def test_mismatched_snapshot_is_ignored(self, tmp_path):
         # A snapshot of a *different* cell (other seed) under its own
         # tag: the resuming cell must not pick it up.
@@ -130,7 +143,7 @@ class TestRunShardDrain:
             spec, 1, 1, out, serial=True, stop_requested=lambda: True
         )
         assert 1 <= len(result.executed) < len(spec)
-        assert load_status(shard_status_path(out))["state"] == "stopped"
+        assert load_status(scheduler_events_path(out))["state"] == "stopped"
 
         # Reference artifact from an uninterrupted run.
         ref = tmp_path / "ref.jsonl"
@@ -139,7 +152,7 @@ class TestRunShardDrain:
         resumed = run_shard(spec, 1, 1, out, serial=True)
         assert len(resumed.skipped) == len(result.executed)
         assert len(resumed.executed) == len(spec) - len(result.executed)
-        assert load_status(shard_status_path(out))["state"] == "complete"
+        assert load_status(scheduler_events_path(out))["state"] == "complete"
         rows = [r["summary"] for r in load_artifact(out).records
                 if r.get("kind") == "cell"]
         ref_rows = [r["summary"] for r in load_artifact(ref).records
@@ -155,7 +168,7 @@ class TestRunShardDrain:
         )
         assert len(result.executed) == len(spec)
         assert (
-            load_status(shard_status_path(tmp_path / "s.jsonl"))["state"]
+            load_status(scheduler_events_path(tmp_path / "s.jsonl"))["state"]
             == "complete"
         )
 
@@ -211,20 +224,20 @@ class TestSchedulerSnapshotReclaim:
                          seeds=(0, 1), rounds=2)
         out = tmp_path / "sched.jsonl"
 
-        # Latched mid-run, once the status sidecar counts a finished cell.
+        # Latched mid-run, once the run log counts a finished cell.
         def one_cell_done():
-            return load_status(shard_status_path(out))["done"] >= 1
+            return load_status(scheduler_events_path(out))["done"] >= 1
 
         drained = run_scheduled(
             spec, out, num_workers=2, stop_requested=one_cell_done
         )
         assert 1 <= len(drained.executed) < len(spec)
-        assert load_status(shard_status_path(out))["state"] == "stopped"
+        assert load_status(scheduler_events_path(out))["state"] == "stopped"
 
         finished = run_scheduled(spec, out, num_workers=2)
         assert len(finished.skipped) == len(drained.executed)
         assert len(finished.executed) == len(spec) - len(drained.executed)
-        assert load_status(shard_status_path(out))["state"] == "complete"
+        assert load_status(scheduler_events_path(out))["state"] == "complete"
 
 
 class TestServeDrain:
@@ -241,29 +254,35 @@ class TestServeDrain:
             spec, out, num_workers=1, serial=False, stop_requested=flag
         )
         assert report.executed == []
-        assert load_status(shard_status_path(out))["state"] == "stopped"
+        assert load_status(scheduler_events_path(out))["state"] == "stopped"
 
         finished = run_scheduled(spec, out, num_workers=1, serial=False)
         assert len(finished.executed) == len(spec)
-        assert load_status(shard_status_path(out))["state"] == "complete"
+        assert load_status(scheduler_events_path(out))["state"] == "complete"
 
 
 class TestStatusStates:
     def test_draining_and_stopped_rows(self, tmp_path):
-        from repro.parallel import ShardStatusWriter
+        from repro.parallel import SweepScheduler
 
-        writer = ShardStatusWriter(
-            tmp_path / "a.jsonl", spec_fingerprint="f" * 16,
-            shard=1, num_shards=1, cells_total=4,
+        spec = SweepSpec(protocols=("qlec",), lambdas=(4.0,),
+                         seeds=(0, 1, 2, 3), rounds=2)
+        sched = SweepScheduler(spec.cells())
+        sched.event(
+            "start", 0.0, spec_fingerprint=spec.fingerprint, shard=1,
+            num_shards=1, cells_total=len(spec), resumed=0, unix=0.0,
         )
-        writer.start()
-        writer.cell_finished()
-        writer.draining()
-        assert load_status(shard_status_path(tmp_path / "a.jsonl"))[
-            "state"
-        ] == "draining"
-        writer.stopped()
-        last = load_status(shard_status_path(tmp_path / "a.jsonl"))
+        cell = sched.acquire("w0", 1.0)
+        sched.complete("w0", cell.cell_id, {}, 1, 2.0)
+        log = scheduler_events_path(tmp_path / "a.jsonl")
+
+        def state_after(marker, now):
+            sched.event(marker, now)
+            log.write_text("".join(json.dumps(e) + "\n" for e in sched.events))
+            return load_status(log)
+
+        assert state_after("draining", 3.0)["state"] == "draining"
+        last = state_after("stopped", 4.0)
         assert last["state"] == "stopped"
         assert last["done"] == 1  # progress survives into the terminal row
 

@@ -1,7 +1,7 @@
 """The pinned deterministic-vs-transient failure taxonomy.
 
-This table is the spec that `_guarded_cell`'s retry policy and the
-scheduler's re-lease policy run on: a *deterministic* failure is a pure
+This table is the spec that the scheduler's re-lease policy runs on:
+a *deterministic* failure is a pure
 function of the cell's inputs (retrying or re-leasing it cannot change
 the outcome), a *transient* one is environmental and may heal between
 attempts.  Changing a classification changes how many times a cluster
@@ -13,7 +13,8 @@ import pickle
 
 import pytest
 
-from repro.parallel.sharding import _guarded_cell, classify_error
+from repro.parallel.scheduler import run_scheduled
+from repro.parallel.sharding import SweepSpec, classify_error, load_artifact
 
 #: (exception instance, expected class) — the taxonomy table.
 TAXONOMY = [
@@ -65,45 +66,57 @@ def test_base_exceptions_classify_transient():
 
 
 class TestGuardedCellPolicy:
-    """The retry policy the taxonomy drives."""
+    """The retry policy the taxonomy drives: a cell runs once per lease
+    grant, and only a transient failure earns another grant."""
 
-    def test_deterministic_failure_never_retried(self):
+    SPEC = SweepSpec(protocols=("direct",), lambdas=(4.0,), seeds=(0,), rounds=1)
+
+    def _run(self, tmp_path, cell_fn, retries):
+        """The one record of a one-cell, in-process run."""
+        result = run_scheduled(
+            self.SPEC, tmp_path / "one.jsonl",
+            serial=True, retries=retries, cell_fn=cell_fn,
+        )
+        (record,) = load_artifact(result.path).records
+        return record
+
+    def test_deterministic_failure_never_retried(self, tmp_path):
         calls = []
 
-        def boom():
+        def boom(cell, options):
             calls.append(1)
             raise ValueError("same inputs, same crash")
 
-        status, payload, attempts = _guarded_cell(boom, (), retries=5)
-        assert status == "error"
-        assert payload["class"] == "deterministic"
-        assert payload["type"] == "ValueError"
-        assert attempts == 1
+        record = self._run(tmp_path, boom, retries=5)
+        assert record["kind"] == "cell-error"
+        assert record["error"]["class"] == "deterministic"
+        assert record["error"]["type"] == "ValueError"
+        assert record["attempts"] == 1
         assert len(calls) == 1
 
-    def test_transient_failure_consumes_retry_budget(self):
+    def test_transient_failure_consumes_retry_budget(self, tmp_path):
         calls = []
 
-        def flaky():
+        def flaky(cell, options):
             calls.append(1)
             raise OSError("still flaky")
 
-        status, payload, attempts = _guarded_cell(flaky, (), retries=2)
-        assert status == "error"
-        assert payload["class"] == "transient"
-        assert attempts == 3
+        record = self._run(tmp_path, flaky, retries=2)
+        assert record["kind"] == "cell-error"
+        assert record["error"]["class"] == "transient"
+        assert record["attempts"] == 3
         assert len(calls) == 3
 
-    def test_transient_failure_heals_mid_budget(self):
+    def test_transient_failure_heals_mid_budget(self, tmp_path):
         calls = []
 
-        def heals():
+        def heals(cell, options):
             calls.append(1)
             if len(calls) < 2:
                 raise OSError("first try flaky")
             return {"ok": True}
 
-        status, payload, attempts = _guarded_cell(heals, (), retries=2)
-        assert status == "ok"
-        assert payload == {"ok": True}
-        assert attempts == 2
+        record = self._run(tmp_path, heals, retries=2)
+        assert record["kind"] == "cell"
+        assert record["summary"] == {"ok": True}
+        assert record["attempts"] == 2

@@ -10,8 +10,11 @@ worker must surface as an error row, not a lost cell or a dead shard.
 
 import itertools
 import json
+import os
+import signal
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro.parallel.sharding import (
     run_shard,
 )
 from repro.telemetry import deterministic_view
+from repro.telemetry.jsonl import read_jsonl_tolerant
 
 SPEC = SweepSpec(
     protocols=("direct", "kmeans"),
@@ -299,7 +303,7 @@ class TestFailurePaths:
             serial_sweep.telemetry
         )
 
-    def test_in_worker_retry_absorbs_transient_fault(self, tmp_path):
+    def test_re_lease_absorbs_transient_fault(self, tmp_path):
         _FAULT["flaky_first_attempt"] = True
         path = tmp_path / "shard.jsonl"
         result = run_shard(
@@ -319,6 +323,74 @@ class TestFailurePaths:
         )
         assert len(result.errors) == len(SPEC)
         assert all(e["attempts"] == 1 for e in result.errors)
+
+
+#: Directory of the once-only fault markers below; workers inherit it.
+ONCE_DIR_ENV = "REPRO_TEST_ONCE_DIR"
+
+
+def _once(name: str) -> bool:
+    """True the first time ``name`` is asked for, across processes."""
+    marker = Path(os.environ[ONCE_DIR_ENV]) / name
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.close(fd)
+    return True
+
+
+def _flaky_once_cell(cell, options):
+    if cell.seed == 0 and _once("flaked"):
+        raise OSError("transient fault on the first lease")
+    return execute_cell(cell, options)
+
+
+def _killed_once_cell(cell, options):
+    if cell.seed == 0 and _once("killed"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_cell(cell, options)
+
+
+class TestOneRetryPath:
+    """The lease is the only retry, on every path: a transient failure
+    and a dead worker each spend one grant of ``1 + retries``."""
+
+    SPEC_ONE = SweepSpec(
+        protocols=("direct",), lambdas=(4.0,), seeds=(0, 1), rounds=2
+    )
+
+    def test_transient_failure_takes_a_second_lease(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(ONCE_DIR_ENV, str(tmp_path))
+        out = tmp_path / "sched.jsonl"
+        result = scheduler_module.run_scheduled(
+            self.SPEC_ONE, out, num_workers=2, retries=1,
+            cell_fn=_flaky_once_cell, poll_seconds=0.02,
+        )
+        assert result.ok and len(result.executed) == len(self.SPEC_ONE)
+        flaky = next(c for c in self.SPEC_ONE.cells() if c.seed == 0)
+        events = read_jsonl_tolerant(scheduler_module.scheduler_events_path(out))
+        story = [e["event"] for e in events if e.get("cell_id") == flaky.cell_id]
+        assert story.count("lease") == 2
+        row = next(r for r in load_artifact(out).cell_rows
+                   if r["cell_id"] == flaky.cell_id)
+        assert row["attempts"] == 2
+
+    def test_static_shard_re_leases_a_killed_workers_cell(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(ONCE_DIR_ENV, str(tmp_path))
+        out = tmp_path / "shard.jsonl"
+        result = run_shard(
+            self.SPEC_ONE, 1, 1, out, max_workers=2,
+            cell_fn=_killed_once_cell, poll_seconds=0.02,
+        )
+        assert (tmp_path / "killed").exists(), "chaos never fired"
+        assert result.worker_deaths == 1 and result.reclaims == 1
+        assert result.errors == []
+        assert len(load_artifact(out).cell_rows) == len(self.SPEC_ONE)
 
 
 def _deterministic_faulty_cell(cell, options):
@@ -400,7 +472,9 @@ class TestNoLeaseDeadline:
         monkeypatch.setattr(
             scheduler_module,
             "time",
-            types.SimpleNamespace(monotonic=lambda: next(ticks) * 1e6),
+            types.SimpleNamespace(
+                monotonic=lambda: next(ticks) * 1e6, time=time.time
+            ),
         )
 
     def test_slow_shard_cells_keep_their_rows(self, jumping_clock, tmp_path):
@@ -417,6 +491,7 @@ class TestNoLeaseDeadline:
         result = run_shard(
             self.SPEC_SLOW, 1, 1, tmp_path / "shard.jsonl",
             max_workers=1, cell_fn=_slow_cell, lease_seconds=300.0,
+            retries=0,
         )
         assert len(result.errors) == len(self.SPEC_SLOW)
         assert {e["error"]["type"] for e in result.errors} == {"LeaseExhausted"}

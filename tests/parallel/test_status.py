@@ -1,19 +1,25 @@
-"""Tests for the live shard-status sidecar (repro.parallel.status)."""
+"""Tests for live sweep progress: the run log folded by ``load_status``.
+
+The unit tests drive the pure :class:`SweepScheduler` (whose events,
+plus the driver's lifecycle markers, are the run log) with an injected
+clock; the integration tests read the ``<artifact>.events.jsonl`` log
+a real run leaves.
+"""
 
 import json
 
 import pytest
 
 from repro.analysis.sweep import execute_cell
-from repro.parallel.sharding import SweepSpec, load_artifact, run_shard
-from repro.parallel.status import (
-    MAX_STATUS_ROWS,
-    STATUS_KIND,
-    ShardStatusWriter,
+from repro.config import paper_config
+from repro.parallel.scheduler import (
+    SweepScheduler,
     find_status_files,
     load_status,
-    shard_status_path,
+    scheduler_events_path,
 )
+from repro.parallel.sharding import SweepCell, SweepSpec, load_artifact, run_shard
+from repro.telemetry.jsonl import read_jsonl_tolerant
 
 SPEC = SweepSpec(
     protocols=("direct",),
@@ -22,6 +28,8 @@ SPEC = SweepSpec(
     rounds=2,
 )
 
+TRANSIENT = {"type": "OSError", "message": "flaky", "class": "transient"}
+
 
 def _failing_cell(cell, options):
     if cell.seed == 1:
@@ -29,74 +37,86 @@ def _failing_cell(cell, options):
     return execute_cell(cell, options)
 
 
-class TestWriterUnit:
-    def _writer(self, tmp_path, **kwargs):
-        ticks = iter(range(1000))
-        return ShardStatusWriter(
-            tmp_path / "shard.jsonl",
+class _Log:
+    """A state machine over ``cells_total - resumed`` synthetic cells,
+    its run log opened by the driver's ``start`` marker at ``t = 0``."""
+
+    def __init__(self, tmp_path, *, cells_total=4, resumed=0, shard=(1, 2)):
+        self.path = scheduler_events_path(tmp_path / "shard.jsonl")
+        cells = [
+            SweepCell("proto", paper_config(seed=i))
+            for i in range(cells_total - resumed)
+        ]
+        self.sched = SweepScheduler(cells)
+        self.sched.event(
+            "start",
+            0.0,
             spec_fingerprint="0" * 16,
-            shard=1,
-            num_shards=2,
-            cells_total=kwargs.pop("cells_total", 4),
-            clock=lambda: float(next(ticks)),
-            wall=lambda: 1754650000.0,
-            **kwargs,
+            shard=shard[0],
+            num_shards=shard[1],
+            cells_total=cells_total,
+            resumed=resumed,
+            unix=1754650000.0,
         )
 
+    def finish_next(self, now: float, *, error=None) -> None:
+        """Lease the front cell at ``now`` and report it ok (or failed)."""
+        cell = self.sched.acquire("w0", now)
+        attempt = self.sched.attempts[cell.cell_id]
+        if error is None:
+            self.sched.complete("w0", cell.cell_id, {}, attempt, now)
+        else:
+            self.sched.fail("w0", cell.cell_id, error, attempt, now)
+
+    def status(self) -> dict:
+        self.path.write_text(
+            "".join(json.dumps(e) + "\n" for e in self.sched.events)
+        )
+        return load_status(self.path)
+
+
+class TestWriterUnit:
     def test_lifecycle_rows(self, tmp_path):
-        w = self._writer(tmp_path)
-        w.start()
-        w.cell_finished()
-        w.cell_finished(error=True, attempts=2)
-        w.finish()
-        rows = [
-            json.loads(line)
-            for line in w.path.read_text().splitlines()
-        ]
+        log = _Log(tmp_path, cells_total=2)
+        rows = [log.status()]
+        log.finish_next(1.0)
+        rows.append(log.status())
+        log.finish_next(2.0, error=TRANSIENT)  # re-leased ...
+        log.finish_next(3.0, error=TRANSIENT)  # ... then an error row
+        rows.append(log.status())
+        log.sched.event("finish", 4.0)
+        rows.append(log.status())
         assert [r["state"] for r in rows] == (
             ["running", "running", "running", "complete"]
         )
         last = rows[-1]
-        assert last["kind"] == STATUS_KIND
         assert last["done"] == 2
         assert last["failed"] == 1
         assert last["retried"] == 1
         assert last["ewma_cell_seconds"] is not None
+        assert last["updated_unix"] == 1754650004.0
 
     def test_eta_null_before_first_cell_zero_when_done(self, tmp_path):
-        w = self._writer(tmp_path, cells_total=1)
-        w.start()
-        assert load_status(w.path)["eta_seconds"] is None
-        w.cell_finished()
-        assert load_status(w.path)["eta_seconds"] == 0.0
+        log = _Log(tmp_path, cells_total=1)
+        assert log.status()["eta_seconds"] is None
+        log.finish_next(1.0)
+        assert log.status()["eta_seconds"] == 0.0
 
     def test_resumed_counts_as_done(self, tmp_path):
-        w = self._writer(tmp_path)
-        w.start(resumed=3)
-        row = load_status(w.path)
+        row = _Log(tmp_path, resumed=3).status()
         assert row["resumed"] == 3
         assert row["done"] == 3
 
-    def test_rows_bounded(self, tmp_path):
-        w = self._writer(tmp_path, cells_total=MAX_STATUS_ROWS * 2)
-        w.start()
-        for _ in range(MAX_STATUS_ROWS * 2):
-            w.cell_finished()
-        lines = w.path.read_text().splitlines()
-        assert len(lines) == MAX_STATUS_ROWS
-        # The launch row survives trimming.
-        assert json.loads(lines[0])["done"] == 0
-
     def test_load_status_tolerates_torn_tail(self, tmp_path):
-        w = self._writer(tmp_path)
-        w.start()
-        w.cell_finished()
-        with open(w.path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "shard-status", "done"')
-        assert load_status(w.path)["done"] == 1
+        log = _Log(tmp_path)
+        log.finish_next(1.0)
+        log.status()
+        with open(log.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "sched-event", "seq"')
+        assert load_status(log.path)["done"] == 1
 
     def test_load_status_empty_raises(self, tmp_path):
-        empty = tmp_path / "x.status.jsonl"
+        empty = tmp_path / "x.events.jsonl"
         empty.write_text("not json at all\n")
         with pytest.raises(ValueError):
             load_status(empty)
@@ -106,7 +126,7 @@ class TestRunShardIntegration:
     def test_sidecar_matches_artifact(self, tmp_path):
         out = tmp_path / "shard.jsonl"
         run_shard(SPEC, 1, 1, out, serial=True)
-        sidecar = shard_status_path(out)
+        sidecar = scheduler_events_path(out)
         assert sidecar.exists()
         status = load_status(sidecar)
         art = load_artifact(out)
@@ -120,7 +140,7 @@ class TestRunShardIntegration:
         run_shard(
             SPEC, 1, 1, out, serial=True, cell_fn=_failing_cell, retries=0
         )
-        status = load_status(shard_status_path(out))
+        status = load_status(scheduler_events_path(out))
         art = load_artifact(out)
         assert status["state"] == "complete"
         assert status["failed"] == len(art.error_rows) == 2
@@ -129,13 +149,15 @@ class TestRunShardIntegration:
     def test_fully_resumed_rerun_refreshes_sidecar(self, tmp_path):
         out = tmp_path / "shard.jsonl"
         run_shard(SPEC, 1, 1, out, serial=True)
-        shard_status_path(out).unlink()
+        scheduler_events_path(out).unlink()
         before = out.read_bytes()
         run_shard(SPEC, 1, 1, out, serial=True)
         # Artifact untouched (the resume contract) …
         assert out.read_bytes() == before
-        # … but the sidecar reflects the re-invocation as complete.
-        status = load_status(shard_status_path(out))
+        # … but the run log is rewritten for the re-invocation.
+        events = read_jsonl_tolerant(scheduler_events_path(out))
+        assert [e["event"] for e in events] == ["start", "finish"]
+        status = load_status(scheduler_events_path(out))
         assert status["state"] == "complete"
         assert status["resumed"] == len(SPEC)
         assert status["done"] == len(SPEC)
@@ -146,66 +168,34 @@ class TestEtaUnderEwma:
         # One tick per cell: the EWMA settles immediately, so the ETA
         # must fall strictly with every finished cell — a status line
         # that says "9 minutes left" may never later say "12".
-        ticks = iter(range(1000))
-        w = ShardStatusWriter(
-            tmp_path / "shard.jsonl",
-            spec_fingerprint="0" * 16,
-            shard=1,
-            num_shards=1,
-            cells_total=8,
-            clock=lambda: float(next(ticks)),
-            wall=lambda: 1754650000.0,
-        )
-        w.start()
-        for _ in range(8):
-            w.cell_finished()
-        rows = [
-            json.loads(line) for line in w.path.read_text().splitlines()
-        ]
-        etas = [r["eta_seconds"] for r in rows if r["eta_seconds"] is not None]
+        log = _Log(tmp_path, cells_total=8, shard=(1, 1))
+        etas = []
+        for tick in range(1, 9):
+            log.finish_next(float(tick))
+            etas.append(log.status()["eta_seconds"])
         assert etas == sorted(etas, reverse=True)
+        assert len(set(etas)) == len(etas)
         assert etas[-1] == 0.0
 
     def test_eta_monotone_when_cells_speed_up(self, tmp_path):
         # Cell times falling (warm caches): the EWMA lags but the ETA
         # must still never rise.
-        t = {"now": 0.0}
-        w = ShardStatusWriter(
-            tmp_path / "shard.jsonl",
-            spec_fingerprint="0" * 16,
-            shard=1,
-            num_shards=1,
-            cells_total=5,
-            clock=lambda: t["now"],
-            wall=lambda: 1754650000.0,
-        )
-        w.start()
+        log = _Log(tmp_path, cells_total=5, shard=(1, 1))
+        now, etas = 0.0, []
         for dt in (8.0, 4.0, 2.0, 1.0, 0.5):
-            t["now"] += dt
-            w.cell_finished()
-        rows = [
-            json.loads(line) for line in w.path.read_text().splitlines()
-        ]
-        etas = [r["eta_seconds"] for r in rows if r["eta_seconds"] is not None]
+            now += dt
+            log.finish_next(now)
+            etas.append(log.status()["eta_seconds"])
         assert all(b <= a for a, b in zip(etas, etas[1:]))
 
 
 class TestSchedulerStatus:
     def test_scheduler_counters_flow_into_rows(self, tmp_path):
-        ticks = iter(range(1000))
-        w = ShardStatusWriter(
-            tmp_path / "sched.jsonl",
-            spec_fingerprint="0" * 16,
-            shard=0,
-            num_shards=0,
-            cells_total=2,
-            clock=lambda: float(next(ticks)),
-            wall=lambda: 1754650000.0,
-        )
-        w.start()
-        w.reclaimed = 1
-        w.cell_finished()
-        row = load_status(w.path)
+        log = _Log(tmp_path, cells_total=2, shard=(0, 0))
+        log.sched.acquire("w0", 1.0)
+        log.sched.worker_lost("w0", 2.0)
+        log.finish_next(3.0)
+        row = log.status()
         assert (row["shard"], row["num_shards"]) == (0, 0)
         assert row["reclaimed"] == 1
 
@@ -214,7 +204,7 @@ class TestSchedulerStatus:
 
         out = tmp_path / "sched.jsonl"
         result = run_scheduled(SPEC, out, num_workers=2, poll_seconds=0.02)
-        status = load_status(shard_status_path(out))
+        status = load_status(scheduler_events_path(out))
         assert status["state"] == "complete"
         assert status["done"] == len(SPEC)
         assert status["failed"] == 0
@@ -226,8 +216,8 @@ class TestFindStatusFiles:
     def test_resolution_modes(self, tmp_path):
         out = tmp_path / "sub" / "shard.jsonl"
         run_shard(SPEC, 1, 1, out, serial=True)
-        sidecar = shard_status_path(out)
-        # Directory scan, explicit sidecar, artifact path — all resolve
+        sidecar = scheduler_events_path(out)
+        # Directory scan, explicit run log, artifact path — all resolve
         # to the same file, deduplicated.
         found = find_status_files([tmp_path, sidecar, out])
         assert found == [sidecar]

@@ -326,6 +326,28 @@ class TestStatusCommand:
         assert main(["status", str(out)]) == 0
         assert "complete" in capsys.readouterr().out
 
+    def test_status_renders_a_drained_run(self, tmp_path, capsys):
+        from repro.parallel import SweepSpec, run_shard
+
+        spec = SweepSpec(
+            protocols=("direct",), lambdas=(4.0,), seeds=(0, 1), rounds=2
+        )
+        out = tmp_path / "s.jsonl"
+        run_shard(spec, 1, 1, out, serial=True, stop_requested=lambda: True)
+        capsys.readouterr()
+        assert main(["status", str(out)]) == 0
+        header, _, row, fleet = capsys.readouterr().out.splitlines()[1:]
+
+        def cells(line):
+            return [c.strip() for c in line.split("|")]
+
+        assert cells(header) == [
+            "shard", "state", "done", "failed", "retried", "reclaimed",
+            "total", "cell_s", "eta_s", "age_s",
+        ]
+        assert cells(row)[:7] == ["1/1", "stopped", "1", "0", "0", "0", "2"]
+        assert fleet == "fleet: 1/2 cells done, 0 failed (running)"
+
     def test_status_no_sidecars_exits_2(self, tmp_path, capsys):
         assert main(["status", str(tmp_path)]) == 2
         assert "no status sidecars" in capsys.readouterr().err
