@@ -95,7 +95,9 @@ CHECKPOINT_KIND = "engine-checkpoint"
 #: Schema 4: kernel backends pickle by registry name alone.  Schema 5:
 #: the packet arena and the source buffers pickle their live rows and
 #: non-empty buffers only, the energy ledger shares the nodes' initial
-#: energies, and the link estimator drops its decay-power cache.
+#: energies, and the link estimator drops its decay-power cache.  The
+#: arena's later loss of its status and delivery-slot columns keeps
+#: schema 5: a restore ignores columns it does not know.
 CHECKPOINT_SCHEMA = 5
 
 #: Snapshot filename suffix (``<tag>-r<round:08d>.ckpt``).

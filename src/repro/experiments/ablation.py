@@ -85,11 +85,3 @@ def render_ablation(rows: list[dict]) -> str:
         precision=4,
         title=f"QLEC ablation (lambda = {rows[0]['lambda']}, Table-2 scenario)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render_ablation(run_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

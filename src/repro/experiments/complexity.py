@@ -284,13 +284,3 @@ def _render_relay(relay: list[RelayChoiceRow]) -> str:
         + "\n the pruned path computes only the heads a reward bound cannot"
         + "\n rule out, bit-identically)"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render_complexity_report(
-        measure_selection_scaling(), measure_qlearning_updates()
-    ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -145,11 +145,3 @@ def render_convergence_study(rows: list[XMeasurement]) -> str:
         table, precision=3,
         title="X — V updates to convergence (Theorem 3's quantity)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render_convergence_study(run_convergence_study()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -161,11 +161,3 @@ def fig3_from_artifacts(paths) -> Fig3Result:
         max_block_mb=spec.max_block_mb,
     )
     return run_fig3(cfg, sweep=merged.sweep)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_fig3().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -189,11 +189,3 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Report:
         k=cfg.n_clusters,
         comparison=comparison,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_fig4().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -122,11 +122,3 @@ def run_kopt_validation(
         lemma1_analytic=lemma1_an,
         lemma1_monte_carlo=lemma1_mc,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_kopt_validation().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -109,11 +109,3 @@ def run_lifespan_curves(
         curves[name] = stacked.mean(axis=0)
         milestones[name] = _milestones(results, cfg.rounds)
     return LifespanCurveResult(config=cfg, curves=curves, milestones=milestones)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_lifespan_curves().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

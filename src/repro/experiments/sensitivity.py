@@ -100,11 +100,3 @@ def render_sensitivity(rows: list[dict]) -> str:
         title="QLEC hyperparameter sensitivity "
         f"(Table-2 scenario, lambda = {rows[0]['lambda']:g})",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render_sensitivity(run_sensitivity()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,9 +13,7 @@ from .packet import (
     LatencyReservoir,
     PacketArena,
     PacketCounts,
-    PacketRecord,
     PacketStats,
-    PacketStatus,
 )
 from .queueing import QueueBank, SourceBuffers
 from .topology import Topology, distances_to_point, pairwise_distances
@@ -29,9 +27,7 @@ __all__ = [
     "NodeArray",
     "PacketArena",
     "PacketCounts",
-    "PacketRecord",
     "PacketStats",
-    "PacketStatus",
     "QueueBank",
     "SourceBuffers",
     "Topology",

@@ -7,91 +7,31 @@ latency (slots between generation and arrival at the BS).
 On the hot path the simulator does **not** allocate one Python object
 per packet.  Packets live in a :class:`PacketArena` — a
 structure-of-arrays pool with one numpy column per field
-(source/born_slot/hops/retries/status/delivered_slot) plus an intrusive
-``next`` link so per-node FIFO buffers can be threaded through the
-arena without any container objects.  Rows of terminal packets return
-to a free list and are reused, so a congested million-packet run keeps
-a small, stable working set.
+(source/born_slot/hops/retries) plus an intrusive ``next`` link so
+per-node FIFO buffers can be threaded through the arena without any
+container objects.  Rows of terminal packets return to a free list and
+are reused, so a congested million-packet run keeps a small, stable
+working set.
 
-:class:`PacketRecord` survives as the *scalar snapshot* of one arena
-row — handy in tests and debugging.  :class:`PacketCounts` holds the
-aggregate counters, and :class:`PacketStats` adds their latency
-distribution as a bounded reservoir sample (:class:`LatencyReservoir`)
-rather than an unbounded list.
+A packet's fate is recorded once, as a counter of
+:class:`PacketCounts`, when the engine frees its row; the arena keeps
+no status.  :class:`PacketStats` adds the latency distribution as a
+bounded reservoir sample (:class:`LatencyReservoir`) rather than an
+unbounded list, and checks that generated packets are conserved.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
-    "PacketStatus",
-    "PacketRecord",
     "PacketArena",
     "LatencyReservoir",
     "PacketCounts",
     "PacketStats",
 ]
-
-
-class PacketStatus(enum.Enum):
-    """Terminal states a packet can reach."""
-
-    IN_FLIGHT = "in_flight"
-    DELIVERED = "delivered"
-    DROPPED_CHANNEL = "dropped_channel"     # lossy link, no ACK
-    DROPPED_QUEUE = "dropped_queue"         # CH buffer overflow
-    DROPPED_DEAD = "dropped_dead"           # source or relay died
-    EXPIRED = "expired"                     # still queued at round end
-
-    @property
-    def code(self) -> int:
-        """Compact integer code used by the arena's status column."""
-        return _STATUS_TO_CODE[self]
-
-    @classmethod
-    def from_code(cls, code: int) -> "PacketStatus":
-        return _CODE_TO_STATUS[int(code)]
-
-
-#: Arena status-column codes, one per :class:`PacketStatus` member.
-_CODE_TO_STATUS: dict[int, PacketStatus] = dict(enumerate(PacketStatus))
-_STATUS_TO_CODE: dict[PacketStatus, int] = {
-    s: c for c, s in _CODE_TO_STATUS.items()
-}
-
-
-@dataclass
-class PacketRecord:
-    """One packet's journey, used for latency accounting.
-
-    Attributes
-    ----------
-    source:
-        Originating node index.
-    born_slot:
-        Absolute slot index (round * slots_per_round + slot) when the
-        packet was generated.
-    hops:
-        Number of radio hops taken so far.
-    """
-
-    source: int
-    born_slot: int
-    hops: int = 0
-    status: PacketStatus = PacketStatus.IN_FLIGHT
-    delivered_slot: int | None = None
-    #: Link-layer retransmissions already spent on this packet.
-    retries: int = 0
-
-    def latency(self) -> int | None:
-        """Slots from generation to BS arrival; None if undelivered."""
-        if self.delivered_slot is None:
-            return None
-        return self.delivered_slot - self.born_slot
 
 
 class PacketArena:
@@ -112,10 +52,7 @@ class PacketArena:
     """
 
     _GROW = 1024
-    _COLUMNS = (
-        "source", "born_slot", "hops", "retries",
-        "status", "delivered_slot", "nxt",
-    )
+    _COLUMNS = ("source", "born_slot", "hops", "retries", "nxt")
 
     def __init__(self, initial_capacity: int = 1024) -> None:
         cap = max(int(initial_capacity), 1)
@@ -123,8 +60,6 @@ class PacketArena:
         self.born_slot = np.zeros(cap, dtype=np.int64)
         self.hops = np.zeros(cap, dtype=np.int64)
         self.retries = np.zeros(cap, dtype=np.int64)
-        self.status = np.zeros(cap, dtype=np.int8)
-        self.delivered_slot = np.full(cap, -1, dtype=np.int64)
         self.nxt = np.full(cap, -1, dtype=np.int64)
         self._free = np.zeros(cap, dtype=np.int64)
         self._n_free = 0
@@ -156,7 +91,9 @@ class PacketArena:
         # Each array is rebuilt on the dtype object it was pickled with,
         # as numpy's own restore leaves an array, so the pickle memo
         # keeps one dtype per type and the restored arena pickles back
-        # to the same bytes.
+        # to the same bytes.  Columns this arena no longer keeps (older
+        # snapshots carry a status code and a delivery slot per row)
+        # are ignored, so those snapshots still resume.
         self.__init__(state["capacity"])
         self._size = state["size"]
         free = state["free"]
@@ -177,23 +114,9 @@ class PacketArena:
 
     @property
     def n_live(self) -> int:
-        """Rows currently allocated (leak check: 0 after a full run).
-
-        Kept for the checkpoint tests, which observe through it that a
-        resume boundary really has packets in flight."""
+        """Rows currently allocated: the packets in flight, which the
+        engine's conservation check counts (0 after a full run)."""
         return self._n_live
-
-    def record(self, idx: int) -> PacketRecord:
-        """Scalar snapshot of one row (tests / debugging only)."""
-        delivered = int(self.delivered_slot[idx])
-        return PacketRecord(
-            source=int(self.source[idx]),
-            born_slot=int(self.born_slot[idx]),
-            hops=int(self.hops[idx]),
-            status=PacketStatus.from_code(int(self.status[idx])),
-            delivered_slot=None if delivered < 0 else delivered,
-            retries=int(self.retries[idx]),
-        )
 
     # -- allocation ----------------------------------------------------
     def _grow_to(self, cap: int) -> None:
@@ -228,8 +151,6 @@ class PacketArena:
         self.born_slot[idx] = born_slot
         self.hops[idx] = 0
         self.retries[idx] = 0
-        self.status[idx] = PacketStatus.IN_FLIGHT.code
-        self.delivered_slot[idx] = -1
         self.nxt[idx] = -1
         self._n_live += m
         return idx
@@ -245,14 +166,6 @@ class PacketArena:
         self._free[self._n_free: self._n_free + idx.size] = idx
         self._n_free += idx.size
         self._n_live -= idx.size
-
-    # -- vectorized lifecycle writes -----------------------------------
-    def mark(self, idx: np.ndarray, status: PacketStatus) -> None:
-        self.status[idx] = status.code
-
-    def latencies(self, idx: np.ndarray) -> np.ndarray:
-        """delivered_slot - born_slot per row (rows must be delivered)."""
-        return self.delivered_slot[idx] - self.born_slot[idx]
 
 
 class LatencyReservoir:
@@ -461,12 +374,13 @@ class PacketStats(PacketCounts):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         self.latency_sample.merge(other.latency_sample)
 
-    def validate(self) -> None:
-        """Invariant: every generated packet reached exactly one
-        terminal state (or is still in flight — not counted here)."""
-        accounted = self.delivered + self.dropped
-        if accounted > self.generated:
+    def validate(self, in_flight: int = 0) -> None:
+        """Conservation: every generated packet was delivered, dropped,
+        or is one of the ``in_flight`` packets still held."""
+        accounted = self.delivered + self.dropped + in_flight
+        if accounted != self.generated:
             raise AssertionError(
-                f"packet accounting overflow: {accounted} terminal packets "
-                f"but only {self.generated} generated"
+                f"packet accounting: {self.generated} generated but "
+                f"{self.delivered} delivered + {self.dropped} dropped + "
+                f"{in_flight} in flight = {accounted}"
             )

@@ -900,7 +900,9 @@ def load_status(path) -> dict:
     counts resumed and finished cells, ``failed`` the error rows among
     them, ``retried`` the finished cells that took more than one lease
     grant, and ``reclaimed`` the reclaimed leases.
-    ``ewma_cell_seconds`` smooths the gaps between finished cells, and
+    ``ewma_cell_seconds`` smooths the gaps between finished cells (the
+    first gap runs from that cell's first lease, so the coordinator's
+    start-up before any cell is leased stays out of it), and
     ``eta_seconds`` is it times the cells remaining (``None`` before
     the first finish, ``0.0`` once none remain).  Event times are the
     coordinator's monotonic ``t``; the ``start`` marker's ``unix``
@@ -915,14 +917,19 @@ def load_status(path) -> dict:
     done = start["resumed"]
     failed = retried = reclaimed = 0
     ewma: float | None = None
+    first_lease: dict[str, float] = {}
     t_last = start["t"]
     state = "running"
     for e in rest:
         verb = e["event"]
-        if verb in ("complete", "error"):
+        if verb == "lease":
+            first_lease.setdefault(e["cell_id"], e["t"])
+        elif verb in ("complete", "error"):
             done += 1
             failed += verb == "error"
             retried += e["attempt"] > 1
+            if ewma is None:
+                t_last = first_lease.get(e["cell_id"], t_last)
             dt, t_last = e["t"] - t_last, e["t"]
             ewma = dt if ewma is None else ewma + EWMA_ALPHA * (dt - ewma)
         elif verb == "reclaim":

@@ -69,11 +69,6 @@ class RoutingProtocol:
         excluded), nearest-to-BS last.  Empty means a direct uplink."""
         return []
 
-    def on_hop(
-        self, state: NetworkState, src: int, dst: int, success: bool
-    ) -> None:
-        """ACK/timeout feedback for one uplink frame hop."""
-
     def counters(self) -> dict[str, int]:
         """Cumulative substrate counters (``repairs``, ``fallbacks``,
         ``broadcasts``); the engine diffs successive snapshots for the

@@ -65,7 +65,7 @@ from ..kernels import (
 )
 from ..network.mobility import build_mobility
 from ..network.node import BaseStation, NodeArray
-from ..network.packet import PacketArena, PacketStats, PacketStatus
+from ..network.packet import PacketArena, PacketStats
 from ..network.queueing import QueueBank, SourceBuffers
 from ..network.queueing import utilization as _utilization
 from ..routing import build_router
@@ -389,7 +389,6 @@ class SimulationEngine:
             acks[acc] = True
             if rej.size:
                 stats.dropped_queue += rej.size
-                arena.mark(rows[rej], PacketStatus.DROPPED_QUEUE)
                 free_rows.append(rows[rej])
 
         # Store-and-forward relay through an ordinary node (hop-by-hop
@@ -406,7 +405,6 @@ class SimulationEngine:
             forwarded = at_relay[~expired]
             if exp.size:
                 stats.expired += exp.size
-                arena.mark(rows[exp], PacketStatus.EXPIRED)
                 free_rows.append(rows[exp])
             if forwarded.size:
                 arena.retries[rows[forwarded]] = 0  # fresh ARQ budget per hop
@@ -422,16 +420,14 @@ class SimulationEngine:
             if won.size:
                 won_rows = rows[won]
                 arena.hops[won_rows] += 1
-                arena.status[won_rows] = PacketStatus.DELIVERED.code
-                arena.delivered_slot[won_rows] = abs_slot + 1
                 stats.record_deliveries(
-                    arena.latencies(won_rows), arena.hops[won_rows]
+                    abs_slot + 1 - arena.born_slot[won_rows],
+                    arena.hops[won_rows],
                 )
                 acks[won] = True
                 free_rows.append(won_rows)
             if lost.size:
                 stats.dropped_queue += lost.size
-                arena.mark(rows[lost], PacketStatus.DROPPED_QUEUE)
                 free_rows.append(rows[lost])
 
         # Link-layer ARQ: an unacknowledged channel loss (or a silent
@@ -467,8 +463,6 @@ class SimulationEngine:
                 n_dead = int(dead.sum())
                 stats.dropped_dead += n_dead
                 stats.dropped_channel += final.size - n_dead
-                arena.mark(rows[final[dead]], PacketStatus.DROPPED_DEAD)
-                arena.mark(rows[final[~dead]], PacketStatus.DROPPED_CHANNEL)
                 free_rows.append(rows[final])
 
         self.buffers.pop(senders[pop_mask])
@@ -536,7 +530,7 @@ class SimulationEngine:
         # rotates; stale samples are not carried over).
         _, leftover = bank.drain_all()
         if leftover.size:
-            self._drop([(leftover, PacketStatus.EXPIRED)], stats)
+            self._drop([(leftover, "expired")], stats)
         if fused:
             all_pos = np.concatenate([b[0] for b in fused])
             all_rows = np.concatenate([b[1] for b in fused])
@@ -554,9 +548,9 @@ class SimulationEngine:
         # each frame is one head->BS hop and the whole phase vectorizes
         # (channel draws stay in head order, frame order).
         # An active routing substrate owns the uplink paths (and wants
-        # per-hop feedback plus path traces), so it always takes the
-        # chain walk; the vectorized fast path below is reserved for
-        # the substrate-less all-direct case.
+        # path traces), so it always takes the chain walk; the
+        # vectorized fast path below is reserved for the substrate-less
+        # all-direct case.
         router = self.router
         paths: dict[int, list[int]] = {}
         direct_only = not router.active
@@ -588,7 +582,7 @@ class SimulationEngine:
             rows = all_rows[seg]
             slots = all_slots[seg]
             if not st.ledger.is_alive(h):
-                self._drop([(rows, PacketStatus.DROPPED_DEAD)], stats)
+                self._drop([(rows, "dropped_dead")], stats)
                 continue
             if cfg.aggregation == "perfect":
                 n_frames = 1
@@ -614,12 +608,9 @@ class SimulationEngine:
             hop_count = len(chain) - 1
             if frames:
                 won = np.concatenate([r for r, _ in frames])
-                arena.status[won] = PacketStatus.DELIVERED.code
-                arena.delivered_slot[won] = (
-                    np.concatenate([s for _, s in frames]) + hop_count
-                )
+                arrival = np.concatenate([s for _, s in frames]) + hop_count
                 stats.record_deliveries(
-                    arena.latencies(won), arena.hops[won] + hop_count
+                    arrival - arena.born_slot[won], arena.hops[won] + hop_count
                 )
                 arena.free(won)
             if router.active:
@@ -661,15 +652,12 @@ class SimulationEngine:
         Each of these touches its own node, stream or accumulator in
         frame order (a chain never repeats a node: every path builder
         tracks the nodes it visited), so the batch is bit-identical to
-        walking the frames one at a time.  The router's feedback hook
-        fires once per frame, after the hop's state is applied.
+        walking the frames one at a time.
         """
         st = self.state
         m = len(frames)
         if not st.ledger.is_alive(src):
-            self._drop(
-                [(rows, PacketStatus.DROPPED_DEAD) for rows, _ in frames], stats
-            )
+            self._drop([(rows, "dropped_dead") for rows, _ in frames], stats)
             return []
         bits = self.config.traffic.packet_bits
         d = st.distance(src, dst)
@@ -679,10 +667,10 @@ class SimulationEngine:
         # A dead receiver never ACKs; the channel is not even drawn.
         if dst_alive:
             ok = st.channel.attempt_link(d, m, src, dst)
-            lost_as = PacketStatus.DROPPED_CHANNEL
+            lost_as = "dropped_channel"
         else:
             ok = np.zeros(m, dtype=bool)
-            lost_as = PacketStatus.DROPPED_DEAD
+            lost_as = "dropped_dead"
         full = [False] * m
         if relay and ok.any():
             # Transit relay: an ACK needs leftover service capacity at
@@ -695,12 +683,8 @@ class SimulationEngine:
             full = over.tolist()
         acks = ok.tolist()
         st.link_estimator.update_link(src, dst, acks)
-        router = self.router
-        if router.active:
-            for acked in acks:
-                router.on_hop(st, src, dst, acked)
         lost = [
-            (rows, PacketStatus.DROPPED_QUEUE if q else lost_as)
+            (rows, "dropped_queue" if q else lost_as)
             for (rows, _), acked, q in zip(frames, acks, full)
             if not acked
         ]
@@ -712,16 +696,14 @@ class SimulationEngine:
         return kept
 
     def _drop(
-        self, lost: list[tuple[np.ndarray, PacketStatus]], stats: PacketStats
+        self, lost: list[tuple[np.ndarray, str]], stats: PacketStats
     ) -> None:
-        """Count and mark each lost batch of rows (a frame, a dead
-        head's backlog) under its fate, then free them all in order with
-        one ``free`` (the arena's LIFO free stack then matches freeing
-        them one by one)."""
+        """Count each lost batch of rows (a frame, a dead head's
+        backlog) under its fate, the name of a :class:`PacketCounts`
+        counter, then free them all in order with one ``free`` (the
+        arena's LIFO free stack then matches freeing them one by one)."""
         for rows, fate in lost:
-            # A terminal status's value names its PacketStats counter.
-            setattr(stats, fate.value, getattr(stats, fate.value) + rows.size)
-            self.arena.mark(rows, fate)
+            setattr(stats, fate, getattr(stats, fate) + rows.size)
         self.arena.free(np.concatenate([rows for rows, _ in lost]))
 
     def _uplink_direct(
@@ -754,7 +736,6 @@ class SimulationEngine:
             seg = slice(seg_starts[j], seg_starts[j] + n_fused[j])
             rows = all_rows[seg]
             stats.dropped_dead += rows.size
-            arena.mark(rows, PacketStatus.DROPPED_DEAD)
             arena.free(rows)
         live = active[alive]
         if live.size == 0:
@@ -798,14 +779,13 @@ class SimulationEngine:
         ok = draws[frame_of_row]
         won = rows_all[ok]
         if won.size:
-            arena.status[won] = PacketStatus.DELIVERED.code
-            arena.delivered_slot[won] = slots_all[ok] + 1
-            stats.record_deliveries(arena.latencies(won), arena.hops[won] + 1)
+            stats.record_deliveries(
+                slots_all[ok] + 1 - arena.born_slot[won], arena.hops[won] + 1
+            )
             arena.free(won)
         lost = rows_all[~ok]
         if lost.size:
             stats.dropped_channel += lost.size
-            arena.mark(lost, PacketStatus.DROPPED_CHANNEL)
             arena.free(lost)
 
     # ------------------------------------------------------------------
@@ -901,6 +881,7 @@ class SimulationEngine:
         )
         self._rounds.append(round_stats)
         self._totals.merge(stats)
+        self._check_conservation()
         if self.trace is not None:
             self.trace.record(round_stats, heads, st.ledger.residual)
         tel.lap("round_end")
@@ -912,6 +893,19 @@ class SimulationEngine:
             tel.spans.end()
         st.round_index += 1
         return round_stats
+
+    def _check_conservation(self) -> None:
+        """Round-end packet conservation: at a round boundary every
+        packet in flight waits in a source buffer, and the run totals
+        account for every other generated packet as delivered or
+        dropped.  A row lost or counted twice raises."""
+        n_live = self.arena.n_live
+        if n_live != self.buffers.total:
+            raise AssertionError(
+                f"packet arena holds {n_live} rows but the source buffers "
+                f"hold {self.buffers.total}"
+            )
+        self._totals.validate(in_flight=n_live)
 
     def _record_round_telemetry(
         self, rs: RoundStats, peaks: np.ndarray, round_wall: float
@@ -1046,7 +1040,6 @@ class SimulationEngine:
             self._totals.expired += rows.size
             if self.telemetry.registry is not None:
                 self.telemetry.counter("packets/expired").add(rows.size)
-            self.arena.mark(rows, PacketStatus.EXPIRED)
             self.arena.free(rows)
         if spans is not None:
             spans.end()

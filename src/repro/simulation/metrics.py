@@ -164,6 +164,7 @@ class SimulationResult:
     def validate(self) -> None:
         """Cross-invariants every run must satisfy (used by tests and
         asserted once per engine run)."""
+        # The run's backlog has expired: nothing is left in flight.
         self.packets.validate()
         if self.total_energy < -1e-12:
             raise AssertionError("negative total energy")

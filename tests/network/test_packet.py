@@ -1,4 +1,4 @@
-"""Tests for packet records and aggregate statistics."""
+"""Tests for the packet arena and aggregate statistics."""
 
 import pickle
 
@@ -7,27 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.packet import (
-    LatencyReservoir,
-    PacketArena,
-    PacketRecord,
-    PacketStats,
-    PacketStatus,
-)
-
-
-class TestPacketRecord:
-    def test_latency_requires_delivery(self):
-        pkt = PacketRecord(source=1, born_slot=10)
-        assert pkt.latency() is None
-        pkt.delivered_slot = 14
-        assert pkt.latency() == 4
-
-    def test_initial_state(self):
-        pkt = PacketRecord(source=0, born_slot=0)
-        assert pkt.status is PacketStatus.IN_FLIGHT
-        assert pkt.hops == 0
-        assert pkt.retries == 0
+from repro.network.packet import LatencyReservoir, PacketArena, PacketStats
 
 
 class TestPacketStats:
@@ -75,7 +55,15 @@ class TestPacketStats:
             s.validate()
 
     def test_validate_allows_in_flight(self):
-        PacketStats(generated=5, delivered=2).validate()  # 3 still flying
+        PacketStats(generated=5, delivered=2).validate(in_flight=3)
+
+    def test_validate_catches_a_lost_packet(self):
+        s = PacketStats(generated=5, delivered=2, dropped_queue=1)
+        s.validate(in_flight=2)
+        with pytest.raises(AssertionError, match="5 generated"):
+            s.validate(in_flight=1)
+        with pytest.raises(AssertionError):
+            s.validate()  # a finished run holds nothing in flight
 
 class TestPacketArena:
     def test_alloc_initialises_columns(self):
@@ -85,9 +73,13 @@ class TestPacketArena:
         assert arena.born_slot[rows].tolist() == [12, 12]
         assert arena.hops[rows].tolist() == [0, 0]
         assert arena.retries[rows].tolist() == [0, 0]
-        assert arena.delivered_slot[rows].tolist() == [-1, -1]
-        assert arena.status[rows].tolist() == [PacketStatus.IN_FLIGHT.code] * 2
+        assert arena.nxt[rows].tolist() == [-1, -1]
         assert arena.n_live == 2
+
+    def test_columns(self):
+        assert PacketArena._COLUMNS == (
+            "source", "born_slot", "hops", "retries", "nxt"
+        )
 
     def test_free_list_reuses_rows(self):
         arena = PacketArena()
@@ -104,29 +96,10 @@ class TestPacketArena:
         assert np.unique(rows).size == 5000
         assert arena.n_live == 5000
 
-    def test_record_snapshot(self):
-        arena = PacketArena()
-        (row,) = arena.alloc(np.array([9]), born_slot=4)
-        arena.hops[row] = 2
-        arena.delivered_slot[row] = 10
-        arena.mark(np.array([row]), PacketStatus.DELIVERED)
-        pkt = arena.record(int(row))
-        assert pkt.source == 9
-        assert pkt.born_slot == 4
-        assert pkt.hops == 2
-        assert pkt.status is PacketStatus.DELIVERED
-        assert pkt.latency() == 6
-
-    def test_latencies(self):
-        arena = PacketArena()
-        rows = arena.alloc(np.array([0, 1]), born_slot=2)
-        arena.delivered_slot[rows] = [5, 9]
-        assert arena.latencies(rows).tolist() == [3, 7]
-
 
 def _live_view(arena):
     """Everything an arena's future depends on: its shape, the free
-    stack in order, and the seven columns of the live rows."""
+    stack in order, and the five columns of the live rows."""
     rows = arena._live_rows()
     return (
         arena.capacity,
@@ -159,8 +132,6 @@ class TestArenaPickle:
             # Give the live rows values that differ from alloc's fill.
             arena.hops[rows] = slot % 5
             arena.retries[rows] = m % 3
-            arena.status[rows] = slot % 4
-            arena.delivered_slot[rows] = slot + 7
             arena.nxt[rows] = np.roll(rows, 1)
             live += rows.tolist()
             order = np.random.default_rng(pick).permutation(len(live))
@@ -177,6 +148,26 @@ class TestArenaPickle:
         want = arena.alloc(sources, born_slot=999)
         assert got.tolist() == want.tolist()
         assert _live_view(restored) == _live_view(arena)
+
+    def test_restores_a_state_with_dropped_columns(self):
+        # Snapshots written before the arena lost its ``status`` and
+        # ``delivered_slot`` columns still carry them; a restore ignores
+        # them and keeps the rest.
+        arena = PacketArena(8)
+        rows = arena.alloc(np.array([3, 1, 4]), born_slot=5)
+        arena.hops[rows] = [1, 2, 3]
+        arena.nxt[rows] = np.roll(rows, 1)
+        arena.free(rows[1:2])
+        state = arena.__getstate__()
+        live = state["source"].size
+        state["status"] = np.zeros(live, dtype=np.int8)
+        state["delivered_slot"] = np.full(live, -1, dtype=np.int64)
+        restored = PacketArena.__new__(PacketArena)
+        restored.__setstate__(state)
+        assert _live_view(restored) == _live_view(arena)
+        assert not hasattr(restored, "status")
+        assert not hasattr(restored, "delivered_slot")
+        assert pickle.dumps(restored) == pickle.dumps(arena)
 
     def test_empty_arena_pickles_in_free_stack_bytes(self):
         # The ckpt-resume-1e4 shape: 4 096 rows of capacity, a

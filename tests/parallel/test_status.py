@@ -13,6 +13,7 @@ import pytest
 from repro.analysis.sweep import execute_cell
 from repro.config import paper_config
 from repro.parallel.scheduler import (
+    EWMA_ALPHA,
     SweepScheduler,
     find_status_files,
     load_status,
@@ -60,8 +61,10 @@ class _Log:
         )
 
     def finish_next(self, now: float, *, error=None) -> None:
-        """Lease the front cell at ``now`` and report it ok (or failed)."""
-        cell = self.sched.acquire("w0", now)
+        """Lease the front cell when the log's last event happened (a
+        worker asks for its next cell as soon as it is free) and report
+        it ok (or failed) at ``now``."""
+        cell = self.sched.acquire("w0", self.sched.events[-1]["t"])
         attempt = self.sched.attempts[cell.cell_id]
         if error is None:
             self.sched.complete("w0", cell.cell_id, {}, attempt, now)
@@ -101,6 +104,22 @@ class TestWriterUnit:
         assert log.status()["eta_seconds"] is None
         log.finish_next(1.0)
         assert log.status()["eta_seconds"] == 0.0
+
+    def test_first_cell_time_starts_at_its_lease(self, tmp_path):
+        # The coordinator spends 0.274 s importing before it leases the
+        # first cell, which then takes 0.006 s: the import is not cell
+        # time, so it must not inflate the first EWMA sample.
+        log = _Log(tmp_path, cells_total=3)
+        cell = log.sched.acquire("w0", 0.274)
+        log.sched.complete("w0", cell.cell_id, {}, 1, 0.28)
+        row = log.status()
+        assert row["ewma_cell_seconds"] == pytest.approx(0.006)
+        assert row["eta_seconds"] == pytest.approx(0.012)
+        # Later samples are the gaps between finished cells.
+        log.finish_next(0.29)
+        assert log.status()["ewma_cell_seconds"] == pytest.approx(
+            0.006 + EWMA_ALPHA * (0.01 - 0.006)
+        )
 
     def test_resumed_counts_as_done(self, tmp_path):
         row = _Log(tmp_path, resumed=3).status()

@@ -176,30 +176,3 @@ class TestRoutingTelemetry:
             snap["routing/broadcasts"]["value"]
             == result.extras["routing"]["broadcasts"]
         )
-
-
-class TestUplinkFeedback:
-    """The chain walk batches each (head, hop) but still fires the
-    router's feedback hook once per frame, after the hop's state is
-    applied."""
-
-    def test_on_hop_fires_once_per_frame(self, monkeypatch):
-        from repro.routing.base import TreeRouting
-
-        calls = []
-        monkeypatch.setattr(
-            TreeRouting, "on_hop",
-            lambda self, state, src, dst, ok: calls.append(
-                (src, dst, ok, state.bs_index)
-            ),
-        )
-        trace = TraceRecorder()
-        SimulationEngine(
-            routed_config("tree", seed=4, rounds=6), QLECProtocol(),
-            trace=trace,
-        ).run()
-        # Every delivered frame's last hop is an ACKed hop into the BS,
-        # and every such hop delivers its frame.
-        into_bs = sum(ok and dst == bs for _, dst, ok, bs in calls)
-        assert into_bs == sum(r["delivered"] for r in trace.paths) > 0
-        assert len(calls) >= sum(r["frames"] for r in trace.paths)

@@ -2,11 +2,13 @@
 budget reset, hop-by-hop forwarding internals."""
 
 import numpy as np
+import pytest
 
 from repro.baselines import FCMProtocol, QELARProtocol, TLLEACHProtocol
 from repro.baselines.base import ClusteringProtocol
 from repro.config import QueueConfig
 from repro.core import QLECProtocol
+from repro.network.packet import PacketArena
 from repro.simulation.engine import SimulationEngine, run_simulation
 from tests.conftest import make_config
 
@@ -131,6 +133,76 @@ class TestExpiryAccounting:
         engine.run()
         # Nothing remains in CH queues after the run (drained + expired).
         assert engine.buffers.total == 0
+
+
+def _congested(seed=9):
+    """One round whose heads leave backlog behind, so the engine drops
+    rows through ``_drop`` at round end."""
+    return make_config(seed=seed, rounds=2, mean_interarrival=1.0).replace(
+        queue=QueueConfig(capacity=200, service_rate=1)
+    )
+
+
+class TestConservation:
+    """The engine checks at every round end that each generated packet
+    is delivered, dropped, or waiting in a source buffer."""
+
+    def test_holds_on_a_clean_run(self):
+        engine = SimulationEngine(_congested(), QLECProtocol())
+        engine.run_round()
+        totals = engine._totals
+        assert engine.arena.n_live == engine.buffers.total > 0
+        assert totals.generated == (
+            totals.delivered + totals.dropped + engine.arena.n_live
+        )
+        result = engine.run()
+        assert engine.arena.n_live == 0
+        assert result.packets.generated == (
+            result.packets.delivered + result.packets.dropped
+        )
+
+    def test_a_row_freed_but_not_counted_raises(self, monkeypatch):
+        drop = SimulationEngine._drop
+
+        def uncounted(self, lost, stats):
+            drop(self, lost, stats)
+            fate = lost[0][1]
+            setattr(stats, fate, getattr(stats, fate) - 1)
+
+        monkeypatch.setattr(SimulationEngine, "_drop", uncounted)
+        engine = SimulationEngine(_congested(), QLECProtocol())
+        with pytest.raises(AssertionError, match="generated"):
+            engine.run_round()
+
+    def test_a_row_counted_twice_raises(self, monkeypatch):
+        drop = SimulationEngine._drop
+
+        def twice(self, lost, stats):
+            drop(self, lost, stats)
+            fate = lost[0][1]
+            setattr(stats, fate, getattr(stats, fate) + 1)
+
+        monkeypatch.setattr(SimulationEngine, "_drop", twice)
+        engine = SimulationEngine(_congested(), QLECProtocol())
+        with pytest.raises(AssertionError, match="generated"):
+            engine.run_round()
+
+    def test_a_row_never_freed_raises(self, monkeypatch):
+        free = PacketArena.free
+        leaked = []
+
+        def leaky(self, idx):
+            idx = np.asarray(idx, dtype=np.int64)
+            if not leaked and idx.size:
+                leaked.append(int(idx[-1]))
+                idx = idx[:-1]
+            free(self, idx)
+
+        monkeypatch.setattr(PacketArena, "free", leaky)
+        engine = SimulationEngine(_congested(), QLECProtocol())
+        with pytest.raises(AssertionError, match="arena holds"):
+            engine.run_round()
+        assert leaked
 
 
 class TestTLLEACHUplinkEnergy:

@@ -7,11 +7,14 @@ from repro.network.packet import PacketStats
 from repro.simulation.metrics import RoundStats, SimulationResult
 
 
+def _packets():
+    return PacketStats(generated=10, delivered=8, dropped_channel=2)
+
+
 def make_result(**overrides):
-    packets = overrides.pop("packets", PacketStats(generated=10, delivered=8))
+    packets = overrides.pop("packets", _packets())
     per_round = overrides.pop(
-        "per_round",
-        [RoundStats(0, 3, 10, 0.5, PacketStats(generated=10, delivered=8))],
+        "per_round", [RoundStats(0, 3, 10, 0.5, _packets())]
     )
     defaults = dict(
         protocol="test",
@@ -81,4 +84,14 @@ class TestValidate:
             per_round=[RoundStats(0, 1, 10, 0.5, bad)],
         )
         with pytest.raises(AssertionError):
+            r.validate()
+
+    def test_rejects_packets_left_in_flight(self):
+        # A finished run has expired its backlog, so every generated
+        # packet was delivered or dropped.
+        short = PacketStats(generated=10, delivered=8)
+        r = make_result(
+            packets=short, per_round=[RoundStats(0, 3, 10, 0.5, short)]
+        )
+        with pytest.raises(AssertionError, match="10 generated"):
             r.validate()
