@@ -87,10 +87,11 @@ def latency_percentiles(
     latency" claim deserves more than a mean): percentiles in slots.
 
     ``latencies`` is any iterable of per-packet latencies — typically
-    ``PacketStats.latencies``, which is exact below the reservoir
-    capacity (4096 deliveries) and a uniform sample beyond it, so the
-    percentiles here are estimates on very long runs while ``mean``
-    from :class:`~repro.network.packet.PacketStats` itself stays exact.
+    a run's ``PacketStats.latencies``, which is exact below the
+    reservoir capacity (4096 deliveries) and a uniform sample of all
+    the run's deliveries beyond it, so the percentiles here are
+    estimates on long runs while ``mean`` from
+    :class:`~repro.network.packet.PacketStats` itself stays exact.
 
     Returns ``{"p50": ..., "p90": ..., "p99": ..., "mean": ..., "max": ...}``
     (NaN everywhere when nothing was delivered).

@@ -192,6 +192,22 @@ def run_signature(engine: "SimulationEngine") -> dict:
     }
 
 
+#: The config whose fingerprint the last header carried, and that
+#: fingerprint.  A run snapshots the same (frozen) config object every
+#: time, so it hashes its config once rather than once per snapshot.
+_last_fingerprint: tuple[object, str] | None = None
+
+
+def _header_fingerprint(config) -> str:
+    global _last_fingerprint
+    cached = _last_fingerprint
+    if cached is None or cached[0] is not config:
+        from ..telemetry.manifest import config_fingerprint
+
+        cached = _last_fingerprint = (config, config_fingerprint(config))
+    return cached[1]
+
+
 def write_checkpoint(engine: "SimulationEngine", path) -> dict:
     """Atomically snapshot ``engine`` to ``path``; return the header.
 
@@ -200,8 +216,6 @@ def write_checkpoint(engine: "SimulationEngine", path) -> dict:
     file under the final name (and a torn *tmp* never matches the
     snapshot glob).
     """
-    from ..telemetry.manifest import config_fingerprint
-
     path = Path(path)
     payload = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
     header = {
@@ -209,7 +223,7 @@ def write_checkpoint(engine: "SimulationEngine", path) -> dict:
         "schema": CHECKPOINT_SCHEMA,
         "package": "repro",
         "version": __version__,
-        "config_fingerprint": config_fingerprint(engine.config),
+        "config_fingerprint": _header_fingerprint(engine.config),
         "round_index": int(engine.state.round_index),
         "run": run_signature(engine),
         "payload_bytes": len(payload),

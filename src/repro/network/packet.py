@@ -17,7 +17,9 @@ A packet's fate is recorded once, as a counter of
 :class:`PacketCounts`, when the engine frees its row; the arena keeps
 no status.  :class:`PacketStats` adds the latency distribution as a
 bounded reservoir sample (:class:`LatencyReservoir`) rather than an
-unbounded list, and checks that generated packets are conserved.
+unbounded list, and checks that generated packets are conserved.  A
+run keeps one reservoir: every round records its deliveries straight
+into it and folds only its counters into the run totals.
 """
 
 from __future__ import annotations
@@ -181,7 +183,9 @@ class LatencyReservoir:
 
     While fewer than ``capacity`` values have been seen the sample is
     the exact stream, so small runs (every tier-1 test) observe
-    identical percentiles to the old unbounded list.
+    identical percentiles to the old unbounded list.  Beyond that it is
+    a uniform sample of the whole stream, the same however the stream
+    is split into :meth:`add_many` batches.
     """
 
     DEFAULT_CAPACITY = 4096
@@ -224,41 +228,6 @@ class LatencyReservoir:
             self._sample[draws[hit]] = rest[hit]
         self.count += v.size
 
-    def merge(self, other: "LatencyReservoir") -> None:
-        """Fold another reservoir in.
-
-        Exact while the union fits in ``capacity``; beyond that, a
-        weighted subsample (each retained value stands for
-        ``count / len(sample)`` stream items) approximates the pooled
-        distribution deterministically.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._filled = other._filled
-            self._sample[: self._filled] = other._sample[: self._filled]
-            return
-        if self._filled + other._filled <= self.capacity:
-            self._sample[self._filled: self._filled + other._filled] = (
-                other._sample[: other._filled]
-            )
-            self._filled += other._filled
-            self.count += other.count
-            return
-        pooled = np.concatenate([self.values, other.values])
-        weights = np.concatenate([
-            np.full(self._filled, self.count / self._filled),
-            np.full(other._filled, other.count / other._filled),
-        ])
-        pick = self._rng.choice(
-            pooled.size, size=self.capacity, replace=False,
-            p=weights / weights.sum(),
-        )
-        self._sample[:] = pooled[pick]
-        self._filled = self.capacity
-        self.count += other.count
-
     def __len__(self) -> int:
         return self._filled
 
@@ -283,8 +252,8 @@ class PacketCounts:
     """The eight packet counters and what derives from them.
 
     The engine keeps one of these per completed round
-    (``RoundStats.packets``): a round's latency sample is folded into
-    the run totals' reservoir and not kept, so the round history — and
+    (``RoundStats.packets``): a round records its latencies into the
+    run totals' reservoir and keeps none, so the round history — and
     every snapshot that pickles it — grows by a few counters a round.
     """
 
@@ -331,11 +300,22 @@ class PacketCounts:
             return 0.0
         return self.total_hops / self.delivered
 
+    def merge(self, other: "PacketCounts") -> None:
+        """Add ``other``'s counters to these (round -> run rollup).
+
+        Latency samples are not merged: a run's rounds record into one
+        shared reservoir, so the run totals already hold the sample.
+        """
+        for f in fields(PacketCounts):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 @dataclass
 class PacketStats(PacketCounts):
     """Packet counters plus a bounded latency sample: the accumulator
-    of one round in flight, and of the run totals.
+    of one round in flight, and of the run totals.  The engine builds
+    each round's accumulator on the run totals' ``latency_sample``, so
+    a run draws one uniform sample of all its deliveries.
 
     This is the **single source of truth** for drop accounting: queue
     overflow, channel loss, dead-target loss, and expiry are counted
@@ -367,12 +347,6 @@ class PacketStats(PacketCounts):
         self.total_latency_slots += int(latencies.sum())
         self.total_hops += int(np.asarray(hops, dtype=np.int64).sum())
         self.latency_sample.add_many(latencies)
-
-    def merge(self, other: "PacketStats") -> None:
-        """Fold ``other`` into this accumulator (round -> run rollup)."""
-        for f in fields(PacketCounts):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        self.latency_sample.merge(other.latency_sample)
 
     def validate(self, in_flight: int = 0) -> None:
         """Conservation: every generated packet was delivered, dropped,

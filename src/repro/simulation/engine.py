@@ -840,7 +840,9 @@ class SimulationEngine:
             capacity = self.faults.queue_capacity(capacity)
         bank = QueueBank(heads, capacity, st.n)
         fused: list[_FusedBatch] = []
-        stats = PacketStats()
+        # The round records deliveries straight into the run's one
+        # latency sample; at round end only its counters are folded in.
+        stats = PacketStats(latency_sample=self._totals.latency_sample)
         if self.router.active:
             # Topology phase: energy-charged neighbor discovery/sharing
             # over the CH overlay, then route construction (tree or
@@ -880,7 +882,7 @@ class SimulationEngine:
             v_updates=getattr(self.protocol, "v_update_count", 0) - v_before,
         )
         self._rounds.append(round_stats)
-        self._totals.merge(stats)
+        self._totals.merge(round_stats.packets)
         self._check_conservation()
         if self.trace is not None:
             self.trace.record(round_stats, heads, st.ledger.residual)

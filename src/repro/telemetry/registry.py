@@ -1,9 +1,8 @@
 """Mergeable metric primitives: counters, gauges, histograms.
 
 The sweep harness fans independent simulation cells out over a process
-pool, so every metric here obeys the same contract as
-:meth:`repro.network.packet.PacketStats.merge` and
-:meth:`repro.network.packet.LatencyReservoir.merge`:
+pool, so every metric here obeys the same contract as the packet
+counters' :meth:`repro.network.packet.PacketCounts.merge`:
 
 * **picklable** — plain attribute state, nothing process-local;
 * **order-insensitively mergeable** — ``merge(a, b) == merge(b, a)``

@@ -187,6 +187,34 @@ class TestRoundtripIdentity:
         assert kill.round in resumed.faults["fault_rounds"]
         _assert_same_run(resumed, expected, restored, baseline)
 
+    def test_resume_past_the_reservoir_cap_keeps_the_sample(self, tmp_path):
+        # The kill cases above deliver fewer packets than the latency
+        # reservoir holds, so their sample is the exact stream.  This
+        # run is sampling when it is snapshotted: the restored run must
+        # keep drawing the uninterrupted run's replacements.
+        def engine():
+            config, nodes, bs = build_scenario("chaos-underwater-deep", 0)
+            return SimulationEngine(
+                config, PROTOCOLS["qlec"](), nodes=nodes, bs=bs
+            )
+
+        reference = engine()
+        want = reference.run()
+        interrupted = engine()
+        for _ in range(36):
+            interrupted.run_round()
+        sample = interrupted._totals.latency_sample
+        assert sample.count > sample.capacity
+        path = tmp_path / f"run-r00000036{CHECKPOINT_SUFFIX}"
+        write_checkpoint(interrupted, path)
+        restored = read_checkpoint(path)[1]
+        got = restored.run()
+        assert got.summary() == want.summary()
+        g, w = got.packets.latency_sample, want.packets.latency_sample
+        assert g.count == w.count > sample.count
+        assert g.values.tobytes() == w.values.tobytes()
+        assert g._rng.bit_generator.state == w._rng.bit_generator.state
+
     def test_checkpointing_run_equals_plain_run(self, tmp_path):
         """Snapshots are pure observation, with every RNG stream
         (protocol, faults, routing) live."""

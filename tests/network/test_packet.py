@@ -49,6 +49,17 @@ class TestPacketStats:
         assert a.dropped_channel == 2
         assert a.dropped_queue == 1
 
+    def test_merge_folds_counters_only(self):
+        # A round records into the run's reservoir and folds its
+        # counters; merging must not count its latencies twice.
+        run = PacketStats()
+        rnd = PacketStats(generated=2, latency_sample=run.latency_sample)
+        rnd.record_deliveries(np.array([4, 6]), np.array([1, 1]))
+        run.merge(rnd.counts())
+        assert (run.generated, run.delivered, run.total_latency_slots) == (2, 2, 10)
+        assert run.latencies == [4, 6]
+        assert run.latency_sample.count == run.delivered
+
     def test_validate_catches_overflow(self):
         s = PacketStats(generated=1, delivered=2)
         with pytest.raises(AssertionError):
@@ -210,13 +221,41 @@ class TestLatencyReservoir:
             b.add_many(np.array([x]))
         assert a == b
 
-    def test_merge_exact_when_fits(self):
-        a, b = LatencyReservoir(capacity=32), LatencyReservoir(capacity=32)
-        a.add_many(np.array([1, 2]))
-        b.add_many(np.array([3]))
-        a.merge(b)
-        assert sorted(a.values.tolist()) == [1, 2, 3]
-        assert a.count == 3
+    @given(
+        st.lists(st.integers(min_value=0, max_value=50), max_size=120),
+        st.lists(st.integers(min_value=1, max_value=40), max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_is_algorithm_r_over_the_stream(self, data, cuts):
+        # The engine streams a run's deliveries through one reservoir in
+        # batches whose edges fall at slot, round and resume boundaries;
+        # the sample must not depend on where they fall.
+        cap = 16
+        split = LatencyReservoir(capacity=cap)
+        rest = np.asarray(data, dtype=np.int64)
+        for cut in cuts:
+            split.add_many(rest[:cut])
+            rest = rest[cut:]
+        split.add_many(rest)
+        whole = LatencyReservoir(capacity=cap)
+        whole.add_many(np.asarray(data, dtype=np.int64))
+
+        # Scalar algorithm R: item t (1-based) replaces a uniform slot
+        # of t with probability cap / t.
+        rng = np.random.default_rng(LatencyReservoir._SEED)
+        sample: list[int] = []
+        for t, x in enumerate(data, start=1):
+            if t <= cap:
+                sample.append(x)
+                continue
+            j = int(rng.random() * t)
+            if j < cap:
+                sample[j] = x
+
+        for got in (split, whole):
+            assert got.values.tolist() == sample
+            assert got.count == len(data)
+            assert got._rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestPacketStatsBatch:
