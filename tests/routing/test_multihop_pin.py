@@ -60,10 +60,10 @@ CASES = {
 }
 
 DIGESTS = {
-    "chaos-underwater-deep/0": "050e5c4cd96b03771d050bd21784d9ade56d9670309012f0c0d713b10b129520",
-    "chaos-underwater-deep/1": "d40556aaeb051cb12df7960cee48819cfd2897db4efd17cc73bf457591fdd38d",
-    "chaos-underwater-deep/2": "190a7b38ec71a4bad03f8031f0c7e0f9469394ad28a18792396ad180501fcfc9",
-    "chaos-underwater-deep/3": "510668e64caf9448129c24e0d05933c20bf0bff8d7f05c6eca0c481b91dd7648",
+    "chaos-underwater-deep/0": "98d06b28a7fdd3ffbb9f3a0c6250636cf7e51f57b6ddf85c8ea066ab15015f85",
+    "chaos-underwater-deep/1": "a9cc42c31b741907d00fb2125fb0034d833cf5c6471848c667a081a6baa29017",
+    "chaos-underwater-deep/2": "3ef433d1c0647ca38b2115f2311f6ef990177396812e57ad5c24c83e111daaf2",
+    "chaos-underwater-deep/3": "2ffc1db605f9b1da7b65cfc97d0640270411f7b700ef4ae915500c03f310722a",
     "fcm/lambda16": "2943be9674c89a1c7234390bbd1a77427fbeec286b968c8d1b1f97e5539b8a47",
     "fcm/lambda2": "87b007a3203ae960e505c4efb645a60bb9144fada3000474f523f1612ef79881",
     "largearea-corner/qspt": "d52d6458fdfc70796cd7ce63629387c2f845e8b15fc04db7d21c3f737388803f",
