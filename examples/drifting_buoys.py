@@ -8,12 +8,11 @@ extension subsystems working together and the trace/ASCII tooling:
 
 * :mod:`repro.network.mobility`  — correlated drift;
 * :mod:`repro.energy.harvesting` — diurnal solar income;
-* :class:`repro.simulation.TraceRecorder` + ASCII layout views.
+* the run trace (:class:`repro.telemetry.SpanTracer`, whose
+  ``round/end`` instants name each round's heads) + ASCII layout views.
 
 Run:  python examples/drifting_buoys.py
 """
-
-import numpy as np
 
 from repro import (
     DeploymentConfig,
@@ -25,7 +24,7 @@ from repro import (
 from repro.analysis import network_ascii, render_kv
 from repro.energy.harvesting import HarvestingConfig
 from repro.network.mobility import MobilityConfig
-from repro.simulation import TraceRecorder
+from repro.telemetry import SpanTracer
 
 SIDE = 300.0
 N_BUOYS = 80
@@ -50,17 +49,20 @@ def main() -> None:
             model="solar", mean_income=0.0015, rounds_per_day=20
         ),
     )
-    trace = TraceRecorder()
-    engine = SimulationEngine(config, QLECProtocol(), trace=trace)
+    tracer = SpanTracer()
+    engine = SimulationEngine(config, QLECProtocol(), tracer=tracer)
     initial_positions = engine.state.nodes.positions.copy()
 
     result = engine.run()
+    heads_by_round = [
+        ev["args"]["heads"] for ev in tracer.events if ev["name"] == "round/end"
+    ]
 
     print("initial layout (x-y projection; H = head, S = gateway):")
     print(
         network_ascii(
             initial_positions,
-            heads=list(trace)[0].heads,
+            heads=heads_by_round[0],
             bs_position=engine.state.bs.position,
             width=56,
             height=16,
@@ -68,18 +70,21 @@ def main() -> None:
     )
 
     print("\nfinal layout after 40 rounds of drift:")
-    last_heads = list(trace)[-1].heads
     print(
         network_ascii(
             engine.state.nodes.positions,
-            heads=last_heads,
+            heads=heads_by_round[-1],
             bs_position=engine.state.bs.position,
             width=56,
             height=16,
         )
     )
 
-    service = trace.head_service_counts()
+    # Rotation fairness: how many rounds each buoy served as a head.
+    service: dict[int, int] = {}
+    for heads in heads_by_round:
+        for h in heads:
+            service[h] = service.get(h, 0) + 1
     print()
     print(
         render_kv(

@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Lint the JSONL examples embedded in the documentation.
+"""Lint the JSONL examples embedded in the documentation, and written
+JSONL files such as run traces.
 
 Documentation drifts; schemas don't have to.  This script extracts
-every fenced ```jsonl block from the given markdown files, checks that
-each line parses as JSON, and validates any manifest line against the
-real schema in :mod:`repro.telemetry.manifest` — the keys
-:func:`run_manifest` emits, with the right value types and the current
-schema version.  Round-record lines are checked against the
-:class:`repro.simulation.trace.RoundTrace` field set.
+every fenced ```jsonl block from the given markdown files (a ``.jsonl``
+file is one block), checks that each line parses as JSON, and
+validates any manifest line against the real schema in
+:mod:`repro.telemetry.manifest` — the keys :func:`run_manifest` emits,
+with the right value types and the current schema version.  The
+engine's ``round/end`` instants are checked against the keys of
+:meth:`repro.simulation.metrics.RoundStats.row` plus heads and
+residuals, and its ``routing/path`` instants against the path
+invariants.
 
-Usage: PYTHONPATH=src python scripts/check_docs_jsonl.py docs/observability.md
+Usage: PYTHONPATH=src python scripts/check_docs_jsonl.py docs/observability.md run.trace.jsonl
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from repro.checkpoint import CHECKPOINT_KIND, CHECKPOINT_SCHEMA
+from repro.network.packet import PacketCounts
 from repro.parallel.scheduler import SCHED_EVENT_KIND
-from repro.simulation.trace import PATH_KIND, RoundTrace
+from repro.simulation.metrics import RoundStats
 from repro.telemetry.manifest import (
     MANIFEST_KIND,
     MANIFEST_SCHEMA,
@@ -128,10 +132,9 @@ START_EVENT_KEYS = {
     "unix": (int, float),
 }
 
-#: Required keys of a per-packet path record (active routing
-#: substrates append one per walked uplink chain).
+#: Required ``args`` of a ``routing/path`` instant (active routing
+#: substrates emit one per walked uplink chain).
 PATH_KEYS = {
-    "kind": str,
     "round": int,
     "head": int,
     "path": list,
@@ -139,6 +142,15 @@ PATH_KEYS = {
     "frames": int,
     "delivered": int,
 }
+
+#: The ``args`` keys of a ``round/end`` instant: the round's golden-trace
+#: row plus who led and the residual energy left.
+ROUND_END_KEYS = set(
+    RoundStats(
+        round_index=0, n_heads=0, n_alive=0, energy_consumed=0.0,
+        packets=PacketCounts(),
+    ).row()
+) | {"heads", "min_residual", "total_residual"}
 
 #: Required keys of an engine-checkpoint header line (the single JSON
 #: line that precedes the binary payload in a ``.ckpt`` snapshot).
@@ -272,11 +284,12 @@ def check_sched_event(obj: dict, where: str) -> list[str]:
     return errors
 
 
-def check_path_record(obj: dict, where: str) -> list[str]:
-    """A ``kind: "path"`` line is one uplink chain walked by an active
-    routing substrate — the invariants mirror
-    :meth:`repro.simulation.trace.TraceRecorder.record_path`."""
-    errors = _check_keys(obj, PATH_KEYS, "path record", where)
+def check_path_args(obj: dict, where: str) -> list[str]:
+    """A ``routing/path`` instant is one uplink chain walked by an
+    active routing substrate: ``path`` holds the relay heads between
+    the head and the BS, and ``delivered`` of ``frames`` fused frames
+    reached the BS."""
+    errors = _check_keys(obj, PATH_KEYS, "routing/path args", where)
     path = obj.get("path", [])
     if isinstance(path, list) and not all(isinstance(p, int) for p in path):
         errors.append(f"{where}: path must be a list of node indices")
@@ -316,21 +329,39 @@ def check_checkpoint_header(obj: dict, where: str) -> list[str]:
     return errors
 
 
-def check_round_record(obj: dict, where: str) -> list[str]:
-    known = {f.name for f in fields(RoundTrace)}
-    unknown = set(obj) - known
-    missing = known - set(obj)
+def check_round_end_args(obj: dict, where: str) -> list[str]:
+    unknown = set(obj) - ROUND_END_KEYS
+    missing = ROUND_END_KEYS - set(obj)
     errors = []
     if unknown:
-        errors.append(f"{where}: unknown round-record keys {sorted(unknown)}")
+        errors.append(f"{where}: unknown round/end keys {sorted(unknown)}")
     if missing:
-        errors.append(f"{where}: round record missing keys {sorted(missing)}")
+        errors.append(f"{where}: round/end missing keys {sorted(missing)}")
+    heads = obj.get("heads")
+    if not (isinstance(heads, list) and all(isinstance(h, int) for h in heads)):
+        errors.append(f"{where}: round/end heads must be a list of node indices")
+    elif isinstance(obj.get("n_heads"), int) and len(heads) != obj["n_heads"]:
+        errors.append(
+            f"{where}: round/end lists {len(heads)} heads, n_heads is "
+            f"{obj['n_heads']}"
+        )
+    return errors
+
+
+def check_instant(obj: dict, where: str) -> list[str]:
+    errors = _check_keys(obj, INSTANT_KEYS, "instant", where)
+    args = obj.get("args", {})
+    if obj.get("name") == "routing/path":
+        errors.extend(check_path_args(args, where))
+    elif obj.get("name") == "round/end":
+        errors.extend(check_round_end_args(args, where))
     return errors
 
 
 def check_file(path: Path) -> list[str]:
     errors = []
-    blocks = FENCE.findall(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    blocks = [text] if path.suffix == ".jsonl" else FENCE.findall(text)
     if not blocks:
         errors.append(f"{path}: no ```jsonl blocks found")
     for bi, block in enumerate(blocks):
@@ -360,13 +391,11 @@ def check_file(path: Path) -> list[str]:
             elif kind == SPAN_KIND:
                 errors.extend(_check_keys(obj, SPAN_KEYS, "span", where))
             elif kind == INSTANT_KIND:
-                errors.extend(_check_keys(obj, INSTANT_KEYS, "instant", where))
+                errors.extend(check_instant(obj, where))
             elif kind == TRACE_SUMMARY_KIND:
                 errors.extend(check_trace_summary(obj, where))
             elif kind == SCHED_EVENT_KIND:
                 errors.extend(check_sched_event(obj, where))
-            elif kind == PATH_KIND:
-                errors.extend(check_path_record(obj, where))
             elif kind == CHECKPOINT_KIND:
                 errors.extend(check_checkpoint_header(obj, where))
             elif kind == "checkpoint-resume":
@@ -374,13 +403,16 @@ def check_file(path: Path) -> list[str]:
                     _check_keys(obj, RESUME_KEYS, "resume row", where)
                 )
             else:
-                errors.extend(check_round_record(obj, where))
+                errors.append(f"{where}: unknown record kind {kind!r}")
     return errors
 
 
 def main(argv: list[str]) -> int:
     if not argv:
-        print("usage: check_docs_jsonl.py <markdown file>...", file=sys.stderr)
+        print(
+            "usage: check_docs_jsonl.py <markdown or .jsonl file>...",
+            file=sys.stderr,
+        )
         return 2
     all_errors = []
     for name in argv:

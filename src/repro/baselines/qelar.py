@@ -54,7 +54,9 @@ class QELARProtocol(ClusteringProtocol):
         self._radio_range: float = 0.0
         #: node -> candidate relay indices (progress-filtered).
         self._candidates: list[np.ndarray] | None = None
-        self._positions_token: int | None = None
+        #: The node array the candidates were built from (a reference,
+        #: not an ``id()``, so a snapshot pickles no memory address).
+        self._candidates_nodes = None
 
     # ------------------------------------------------------------------
     def prepare(self, state: NetworkState) -> None:
@@ -82,12 +84,12 @@ class QELARProtocol(ClusteringProtocol):
                 cand = cand[order[: self.max_candidates]]
             candidates.append(cand)
         self._candidates = candidates
-        self._positions_token = id(state.nodes)
+        self._candidates_nodes = state.nodes
 
     def select_cluster_heads(self, state: NetworkState) -> np.ndarray:
         # Flat routing: no heads, ever.  Mobility may have replaced the
         # node array since the last round; refresh the neighbourhoods.
-        if self._positions_token != id(state.nodes):
+        if self._candidates_nodes is not state.nodes:
             self._rebuild_neighbourhoods(state)
         return np.empty(0, dtype=np.intp)
 

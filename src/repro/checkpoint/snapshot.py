@@ -13,7 +13,7 @@ sample — serialized as a single file::
 
 The header is self-describing and *validating*: it carries the package
 version, the config fingerprint, the run-shape signature (protocol,
-``stop_on_death``, ``batched``, telemetry/tracer/trace presence), the
+``stop_on_death``, ``batched``, telemetry and span-sink presence), the
 payload byte length, and a SHA-256 content checksum.
 :func:`read_checkpoint` refuses — with a typed error — to restore a
 torn or bit-flipped file (:class:`CheckpointCorruptError`), a snapshot
@@ -41,19 +41,26 @@ by the plain (C) pickler.  Its size and write time depend on the
 engine's live state, not on buffer capacity or on how many rounds it
 has run: the packet arena stores its free stack and live rows, the
 source buffers their non-empty nodes, and the energy ledger shares the
-nodes' initial energies.  Right after a restore the engine pickles
-back to the bytes it was read from.
-``tests/checkpoint/test_snapshot.py`` tests the guarantee
-end-to-end: SIGKILL at an arbitrary round (including a congested
-run with packets buffered at the snapshot), resume, and the final
-result, golden trace, run-total latency sample, and telemetry
-deterministic-view match the uninterrupted run bit for bit.
+nodes' initial energies.
+
+Snapshot bytes are a function of engine state: :func:`read_checkpoint`
+restores builtin dtypes as numpy's singletons (:class:`_EngineUnpickler`),
+so a restored engine pickles back to the bytes it was read from, and
+after any number of further rounds to the bytes of the engine that
+never stopped.  ``tests/checkpoint/test_snapshot.py`` tests the
+guarantee end-to-end: SIGKILL at an arbitrary round (including a
+congested run with packets buffered at the snapshot), resume, and the
+final result, golden trace, run-total latency sample and telemetry
+deterministic-view match the uninterrupted run; without a telemetry
+registry, whose phase times are wall-clock readings, so does every
+later snapshot's sha256.
 """
 
 from __future__ import annotations
 
 import glob as _glob
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -97,8 +104,10 @@ CHECKPOINT_KIND = "engine-checkpoint"
 #: non-empty buffers only, the energy ledger shares the nodes' initial
 #: energies, and the link estimator drops its decay-power cache.  The
 #: arena's later loss of its status and delivery-slot columns keeps
-#: schema 5: a restore ignores columns it does not know.
-CHECKPOINT_SCHEMA = 5
+#: schema 5: a restore ignores columns it does not know.  Schema 6: the
+#: engine has no ``trace`` attribute and the run signature no ``trace``
+#: key (the span sink is the run's one trace).
+CHECKPOINT_SCHEMA = 6
 
 #: Snapshot filename suffix (``<tag>-r<round:08d>.ckpt``).
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -188,7 +197,6 @@ def run_signature(engine: "SimulationEngine") -> dict:
         "batched": bool(engine.batched),
         "telemetry": engine.telemetry.registry is not None,
         "tracer": engine.telemetry.spans is not None,
-        "trace": engine.trace is not None,
     }
 
 
@@ -261,6 +269,31 @@ def _parse_header(path: Path, line: bytes) -> dict:
     return header
 
 
+def _dtype(spec, align=False, copy=False):
+    """numpy's own instance of a builtin dtype, in place of the copy
+    numpy's pickle asks for; other dtypes are built as numpy builds
+    them.  Snapshots hold native-order arrays only, so the byte order
+    that the pickled state carries is numpy's native one."""
+    import numpy as np
+
+    dtype = np.dtype(spec, align)
+    return dtype if dtype.isbuiltin == 1 else np.dtype(spec, align, copy)
+
+
+class _EngineUnpickler(pickle.Unpickler):
+    """Restores every builtin dtype as numpy's singleton.
+
+    numpy unpickles a dtype as a fresh copy, so arrays kept from a
+    restore would share that copy while arrays made later use the
+    singleton, and the pickler would write one dtype more than for the
+    engine that never stopped."""
+
+    def find_class(self, module, name):
+        if module == "numpy" and name == "dtype":
+            return _dtype
+        return super().find_class(module, name)
+
+
 def read_checkpoint(
     path,
     *,
@@ -297,8 +330,8 @@ def read_checkpoint(
             f"repro {__version__!r}; pickled engine internals are not "
             "stable across versions — rerun instead of resuming"
         )
-    # A view, not a slice: the payload is hashed and unpickled in
-    # place rather than copied.
+    # A view, not a slice: the payload is hashed in place rather than
+    # copied.
     payload = memoryview(raw)[nl + 1 :]
     if len(payload) != header["payload_bytes"]:
         raise CheckpointCorruptError(
@@ -324,7 +357,11 @@ def read_checkpoint(
             f"{path}: snapshot run shape {header['run']} does not match "
             f"the resuming run {run}"
         )
-    engine = pickle.loads(payload)
+    # A BytesIO over the file's bytes shares them; the unpickler reads
+    # on from the payload's start.
+    stream = io.BytesIO(raw)
+    stream.seek(nl + 1)
+    engine = _EngineUnpickler(stream).load()
     return header, engine
 
 

@@ -171,7 +171,7 @@ class PlanInjector:
         killed = 0
         if ev.kind == "crash":
             victims = self._pick(ev, np.flatnonzero(ledger.alive))
-            killed = ledger.force_kill(victims, cause="crash")
+            killed = ledger.force_kill(victims, cause=ev.kind)
         elif ev.kind == "revive":
             victims = self._pick(ev, np.flatnonzero(~ledger.alive))
             ledger.revive_nodes(victims)
@@ -211,7 +211,11 @@ class PlanInjector:
         for ev in events:
             pool = heads[state.ledger.alive[heads]]
             victims = self._pick(ev, pool)
-            killed = state.ledger.force_kill(victims, cause="ch_kill")
+            # The cause is the plan's own kind string, not an equal
+            # literal: a restored plan holds its unpickled copy, and the
+            # ledger key must share it as in a run that never stopped,
+            # or the resumed engine pickles the string twice.
+            killed = state.ledger.force_kill(victims, cause=ev.kind)
             self._account(ev, killed, rnd)
         live = state.ledger.alive[heads]
         return heads if live.all() else heads[live]
@@ -227,7 +231,7 @@ class PlanInjector:
         for ev in events:
             pool = heads[state.ledger.alive[heads]]
             victims = self._pick(ev, pool)
-            killed = state.ledger.force_kill(victims, cause="ch_kill")
+            killed = state.ledger.force_kill(victims, cause=ev.kind)
             self._account(ev, killed, state.round_index)
 
     def queue_capacity(self, base: int) -> int:

@@ -90,24 +90,15 @@ class PacketArena:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Each array is rebuilt on the dtype object it was pickled with,
-        # as numpy's own restore leaves an array, so the pickle memo
-        # keeps one dtype per type and the restored arena pickles back
-        # to the same bytes.  Columns this arena no longer keeps (older
-        # snapshots carry a status code and a delivery slot per row)
-        # are ignored, so those snapshots still resume.
         self.__init__(state["capacity"])
         self._size = state["size"]
         free = state["free"]
         self._n_free = free.size
-        self._free = self._free.astype(free.dtype)
         self._free[: free.size] = free
         self._n_live = self._size - self._n_free
         rows = self._live_rows()
         for name in self._COLUMNS:
-            col = getattr(self, name).astype(state[name].dtype)
-            col[rows] = state[name]
-            setattr(self, name, col)
+            getattr(self, name)[rows] = state[name]
 
     # -- inspection ----------------------------------------------------
     @property

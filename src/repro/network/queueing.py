@@ -83,10 +83,8 @@ class SourceBuffers:
 
     def __getstate__(self) -> dict:
         # An empty buffer is always (-1, -1, 0): pop resets the tail
-        # when it takes the last packet.  Every array is on the dtype
-        # object of ``lengths`` (see PacketArena.__setstate__).
-        dtype = self.lengths.dtype
-        nodes = np.flatnonzero(self.lengths).astype(dtype)
+        # when it takes the last packet.
+        nodes = np.flatnonzero(self.lengths)
         return {
             "arena": self.arena,
             "n_nodes": self.lengths.size,
@@ -97,11 +95,8 @@ class SourceBuffers:
         }
 
     def __setstate__(self, state: dict) -> None:
-        n, nodes, dtype = state["n_nodes"], state["nodes"], state["lengths"].dtype
-        self.arena = state["arena"]
-        self._head = np.full(n, -1, dtype=dtype)
-        self._tail = np.full(n, -1, dtype=dtype)
-        self.lengths = np.zeros(n, dtype=dtype)
+        self.__init__(state["n_nodes"], state["arena"])
+        nodes = state["nodes"]
         self._head[nodes] = state["head"]
         self._tail[nodes] = state["tail"]
         self.lengths[nodes] = state["lengths"]

@@ -4,7 +4,6 @@ from .engine import SimulationEngine, run_simulation
 from .metrics import RoundStats, SimulationResult
 from .scenarios import SCENARIOS, build_scenario, scenario_names
 from .state import NetworkState
-from .trace import RoundTrace, TraceRecorder
 from .traffic import PoissonTraffic
 
 __all__ = [
@@ -12,8 +11,6 @@ __all__ = [
     "SCENARIOS",
     "build_scenario",
     "scenario_names",
-    "RoundTrace",
-    "TraceRecorder",
     "PoissonTraffic",
     "RoundStats",
     "SimulationEngine",

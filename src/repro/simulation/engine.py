@@ -74,7 +74,6 @@ from ..telemetry.trace import rss_mb
 from .links import RoundLinks
 from .metrics import RoundStats, SimulationResult
 from .state import NetworkState
-from .trace import TraceRecorder
 from .traffic import PoissonTraffic
 
 if TYPE_CHECKING:  # avoid a runtime cycle with baselines.base
@@ -140,7 +139,11 @@ class SimulationEngine:
         ``telemetry`` argument the engine builds a handle with no
         registry.  The run then becomes a hierarchical span stream
         (run → round → phase → kernel call, fault events as instants)
-        exportable as JSONL or a Perfetto-loadable Chrome trace, with
+        and the run's one trace: each round span closes over a
+        ``round/end`` instant (the round's :meth:`RoundStats.row`, its
+        heads and the residual energy left) and, under an active
+        router, one ``routing/path`` instant per walked uplink chain.
+        It exports as JSONL or a Perfetto-loadable Chrome trace, with
         phase spans timed by the same lap clock as the
         ``time/phase/*`` counters.  A span sink (or
         ``Telemetry(profile_kernels=True)``) wraps the kernel backend
@@ -157,7 +160,6 @@ class SimulationEngine:
         rng: np.random.Generator | None = None,
         initial_energy: np.ndarray | None = None,
         stop_on_death: bool = False,
-        trace: TraceRecorder | None = None,
         batched: bool = True,
         backend: str | KernelBackend | None = None,
         telemetry: Telemetry | None = None,
@@ -207,7 +209,6 @@ class SimulationEngine:
         #: snapshots carry it open, and a resumed ``run()`` must not
         #: begin a second one (span IDs stay deterministic either way).
         self._run_begun = False
-        self.trace = trace
         self.mobility = None
         if config.mobility is not None:
             self.mobility = build_mobility(
@@ -251,15 +252,13 @@ class SimulationEngine:
         if self.router.active:
             self.router.prepare(self.state)
         protocol.prepare(self.state)
-        #: Self-describing header shared by the trace dump and the
-        #: telemetry snapshot (built lazily only when someone records).
+        #: Self-describing header shared by the span dump and the
+        #: telemetry snapshot (built only when something records).
         self.manifest: dict | None = None
-        if self.trace is not None or tel.enabled:
+        if tel.enabled:
             self.manifest = run_manifest(
                 config, protocol.name, backend=self.kernels.name
             )
-        if self.trace is not None and self.trace.manifest is None:
-            self.trace.manifest = self.manifest
         if tel.spans is not None and tel.spans.manifest is None:
             tel.spans.manifest = self.manifest
         if tel.registry is not None:
@@ -614,19 +613,24 @@ class SimulationEngine:
                 )
                 arena.free(won)
             if router.active:
-                # Per-packet path observability: one record per walked
-                # head on the trace, one histogram sample per delivered
-                # frame in telemetry.  Pure reads — no RNG, and inert
-                # routers never reach this branch.
+                # Per-packet path observability: one ``routing/path``
+                # instant per walked head in the span sink, one
+                # histogram sample per delivered frame in telemetry.
+                # Pure reads — no RNG, and inert routers never reach
+                # this branch.
                 n_delivered = len(frames)
-                if self.trace is not None:
-                    self.trace.record_path(
-                        st.round_index,
-                        h,
-                        [int(p) for p in path],
-                        hop_count,
-                        n_frames,
-                        n_delivered,
+                if self.telemetry.spans is not None:
+                    self.telemetry.spans.instant(
+                        "routing/path",
+                        cat="routing",
+                        args={
+                            "round": st.round_index,
+                            "head": h,
+                            "path": chain[1:-1],
+                            "hops": hop_count,
+                            "frames": n_frames,
+                            "delivered": n_delivered,
+                        },
                     )
                 if self.telemetry.registry is not None and n_delivered:
                     self.telemetry.registry.histogram(
@@ -884,14 +888,25 @@ class SimulationEngine:
         self._rounds.append(round_stats)
         self._totals.merge(round_stats.packets)
         self._check_conservation()
-        if self.trace is not None:
-            self.trace.record(round_stats, heads, st.ledger.residual)
         tel.lap("round_end")
         if tel.registry is not None:
             self._record_round_telemetry(round_stats, peaks, tel.now() - t_round)
         if tel.enabled and st.round_index % 8 == 0:
             self._sample_memory()
         if tel.spans is not None:
+            # The round's record in the run trace: its golden-trace row
+            # plus who led and what energy is left.  Pure reads.
+            residual = st.ledger.residual
+            tel.spans.instant(
+                "round/end",
+                cat="round",
+                args={
+                    **round_stats.row(),
+                    "heads": heads.tolist(),
+                    "min_residual": float(residual.min()),
+                    "total_residual": float(residual.sum()),
+                },
+            )
             tel.spans.end()
         st.round_index += 1
         return round_stats

@@ -10,9 +10,15 @@ The aggregate counters of :mod:`~repro.telemetry.registry` answer
   <repro.telemetry.timers.Telemetry.lap>`, whose clock also feeds the
   ``time/phase/*`` counters), and each ``kernel`` backend invocation
   (recorded by :class:`~repro.kernels.profiling.ProfiledBackend`);
-* **instants** — zero-duration marks: fault-injection/recovery events
+* **instants** — zero-duration marks: one ``round/end`` per round
+  (the round's :meth:`~repro.simulation.metrics.RoundStats.row` plus
+  its heads and residual energy), one ``routing/path`` per uplink
+  chain an active router walks, fault-injection/recovery events
   (emitted by the injector's accounting hook, so they land inside the
   round span that applied them) and periodic memory samples.
+
+The stream is the run's one trace: what a round did, where its time
+went and which heads relayed whose traffic all live in it.
 
 Span *identities* are deterministic: IDs are a sequential counter in
 event order, and the engine's event order is a pure function of the

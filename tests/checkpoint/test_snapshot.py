@@ -1,7 +1,8 @@
 """Tests for crash-safe engine checkpointing (repro.checkpoint).
 
 The headline contract — a run SIGKILLed between snapshots and resumed
-is bit-identical end-to-end to one never interrupted — is
+is bit-identical end-to-end to one never interrupted, down to the bytes
+of every later snapshot — is
 ``TestRoundtripIdentity::test_sigkill_and_resume_matches_uninterrupted``,
 which kills a real child process. The other tests cover the snapshot
 format, the refusal taxonomy, rotation, and the in-process resume
@@ -9,6 +10,7 @@ identity.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sweep import PROTOCOLS
 from repro.checkpoint import (
@@ -98,25 +102,31 @@ def _chaos_config(**kwargs):
 
 
 #: Kill-and-resume cases: (config, batched, checkpoint every, kill after
-#: round). The pruned shape checkpoints every round. The ch-kill + tree
-#: cases die after round 3, which is not a snapshot boundary, so the
-#: resume re-executes round 2 from the round-2 snapshot; that is also
-#: the round whose head kill draws on the fault stream, so a snapshot
-#: that lost the stream would show. At lambda = 1 packets wait in
-#: source buffers at the snapshot.
+#: round, telemetry). The pruned shape checkpoints every round. The
+#: ch-kill + tree cases die after round 3, which is not a snapshot
+#: boundary, so the resume re-executes round 2 from the round-2
+#: snapshot; that is also the round whose head kill draws on the fault
+#: stream, so a snapshot that lost the stream would show. At lambda = 1
+#: packets wait in source buffers at the snapshot. A telemetry registry
+#: holds wall-clock phase times, so only the cases without one can
+#: compare snapshot bytes.
 KILL_CASES = {
-    "pruned": (pruned_config, True, 1, 3),
-    "batched": (_chaos_config, True, 2, 3),
-    "scalar": (_chaos_config, False, 2, 3),
-    "congested": (lambda: _chaos_config(mean_interarrival=1.0), True, 2, 3),
+    "pruned": (pruned_config, True, 1, 3, False),
+    "batched": (_chaos_config, True, 2, 3, True),
+    "scalar": (_chaos_config, False, 2, 3, True),
+    "congested": (lambda: _chaos_config(mean_interarrival=1.0), True, 2, 3, False),
 }
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run_until_killed(case: str, checkpoint_dir: str) -> None:
     """Child-process body: run ``case`` checkpointed and SIGKILL the
     process once its kill round has finished."""
-    make, batched, every, kill_round = KILL_CASES[case]
-    engine = _engine(make(), batched=batched, telemetry=True)
+    make, batched, every, kill_round, telemetry = KILL_CASES[case]
+    engine = _engine(make(), batched=batched, telemetry=telemetry)
 
     def kill_switch() -> bool:
         if engine.state.round_index >= kill_round:
@@ -130,10 +140,13 @@ def run_until_killed(case: str, checkpoint_dir: str) -> None:
 class TestRoundtripIdentity:
     @pytest.mark.parametrize("case", sorted(KILL_CASES))
     def test_sigkill_and_resume_matches_uninterrupted(self, tmp_path, case):
-        make, batched, every, kill_round = KILL_CASES[case]
+        make, batched, every, kill_round, telemetry = KILL_CASES[case]
         config = make()
-        reference = _engine(config, batched=batched, telemetry=True)
-        want = reference.run()
+        reference = _engine(config, batched=batched, telemetry=telemetry)
+        ckpt = {"checkpoint_every": every, "checkpoint_keep_last": config.rounds,
+                "checkpoint_tag": case}
+        want = reference.run(checkpoint_dir=tmp_path / "reference", **ckpt)
+        killed = tmp_path / "killed"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
@@ -141,12 +154,12 @@ class TestRoundtripIdentity:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from tests.checkpoint.test_snapshot import "
-             "run_until_killed as f; f(*sys.argv[1:])", case, str(tmp_path)],
+             "run_until_killed as f; f(*sys.argv[1:])", case, str(killed)],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         found = latest_valid(
-            tmp_path, case, config_fingerprint=config_fingerprint(config),
+            killed, case, config_fingerprint=config_fingerprint(config),
             run=run_signature(reference),
         )
         assert found is not None
@@ -154,10 +167,15 @@ class TestRoundtripIdentity:
         assert header["round_index"] == kill_round // every * every
         if case == "congested":
             assert engine.buffers.total > 0
-        got = engine.run()
+        got = engine.run(checkpoint_dir=tmp_path / "resumed", **ckpt)
         _assert_same_run(got, want, engine, reference)
         assert got.total_energy == want.total_energy
         assert engine_state(engine) == engine_state(reference)
+        resumed = snapshot_paths(tmp_path / "resumed", case)
+        assert len(resumed) >= 2
+        if not telemetry:
+            for path in resumed:
+                assert _sha256(path) == _sha256(tmp_path / "reference" / path.name)
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_snapshot_restore_finish_is_bit_identical(self, tmp_path, batched):
@@ -291,6 +309,53 @@ class TestLiveStateEncoding:
         _, restored = read_checkpoint(path)
         assert pickle.dumps(restored, protocol=pickle.HIGHEST_PROTOCOL) == payload
 
+    @pytest.mark.parametrize(
+        "name", ["qlec", "fcm", "kmeans", "heed", "deec", "leach", "qelar"]
+    )
+    def test_later_rounds_pickle_to_the_same_bytes(self, tmp_path, name):
+        # Arrays kept from the restore and arrays made after it must
+        # share numpy's dtype objects, or the restored engine pickles
+        # one dtype more than the uninterrupted one (FCM's heads did).
+        engine = SimulationEngine(paper_config(seed=5, rounds=8), PROTOCOLS[name]())
+        for _ in range(3):
+            engine.run_round()
+        path = tmp_path / f"run-r00000003{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        restored = read_checkpoint(path)[1]
+        for _ in range(4):
+            engine.run_round()
+            restored.run_round()
+            assert pickle.dumps(
+                restored, protocol=pickle.HIGHEST_PROTOCOL
+            ) == pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @given(
+        name=st.sampled_from(["qlec", "fcm", "kmeans", "heed", "tl-leach"]),
+        seed=st.integers(0, 7),
+        before=st.integers(1, 4),
+        after=st.integers(1, 3),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_any_split_keeps_the_bytes(
+        self, tmp_path_factory, name, seed, before, after
+    ):
+        config = paper_config(seed=seed, rounds=before + after)
+        engine = SimulationEngine(config, PROTOCOLS[name]())
+        for _ in range(before):
+            engine.run_round()
+        path = tmp_path_factory.mktemp("split") / f"run{CHECKPOINT_SUFFIX}"
+        write_checkpoint(engine, path)
+        restored = read_checkpoint(path)[1]
+        assert pickle.dumps(
+            restored, protocol=pickle.HIGHEST_PROTOCOL
+        ) == path.read_bytes().split(b"\n", 1)[1]
+        for _ in range(after):
+            engine.run_round()
+            restored.run_round()
+        assert pickle.dumps(
+            restored, protocol=pickle.HIGHEST_PROTOCOL
+        ) == pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+
     def test_ledger_shares_the_initial_energies(self, tmp_path):
         engine = _engine(_config(rounds=3))
         engine.run_round()
@@ -385,7 +450,7 @@ class TestLinkTable:
             without = self._snapshot(tmp_path, "off").read_bytes()
         assert with_table == without
         assert b"RoundLinks" not in with_table
-        assert CHECKPOINT_SCHEMA == 5
+        assert CHECKPOINT_SCHEMA == 6
 
     def test_restore_and_finish_is_bit_identical(self, tmp_path):
         expected = _engine(_config(rounds=6)).run()
@@ -591,12 +656,13 @@ class TestRefusalTaxonomy:
         # ``get_backend`` no longer takes; loading one would fail inside
         # ``pickle.loads``.  Schema 4 pickled the packet arena and the
         # source buffers at full capacity, which their restore no
-        # longer reads.
+        # longer reads.  Schema 5 pickled the engine's separate round
+        # trace recorder, an attribute the engine no longer has.
         engine = _engine(_config(rounds=3), telemetry=True, tracer=SpanTracer())
         engine.run_round()
         path = tmp_path / f"t-r00000001{CHECKPOINT_SUFFIX}"
         write_checkpoint(engine, path)
-        for schema in (2, 3, 4):
+        for schema in (2, 3, 4, 5):
             self._rewrite_header(path, schema=schema)
             with pytest.raises(CheckpointVersionError, match=f"schema {schema}"):
                 read_checkpoint(path)

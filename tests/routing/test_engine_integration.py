@@ -1,17 +1,15 @@
 """Routing substrate wired through the engine: null-cost default,
-scalar==batched under active substrates, path tracing, hop-aware
-accounting, and telemetry counters."""
+scalar==batched under active substrates, ``routing/path`` instants in
+the run trace, hop-aware accounting, and telemetry counters."""
 
 import dataclasses
-import json
 
 import numpy as np
 
 from repro.config import RoutingConfig, paper_config
 from repro.core import QLECProtocol
-from repro.simulation import TraceRecorder
 from repro.simulation.engine import SimulationEngine, run_simulation
-from repro.telemetry import Telemetry
+from repro.telemetry import SpanTracer, Telemetry, read_trace_jsonl
 from tests.conftest import make_config
 
 
@@ -33,12 +31,13 @@ class TestNullSubstrate:
 
     def test_direct_emits_no_paths_or_metrics(self):
         tel = Telemetry()
-        trace = TraceRecorder()
+        tracer = SpanTracer()
         SimulationEngine(
             routed_config("direct"), QLECProtocol(),
-            telemetry=tel, trace=trace,
+            telemetry=tel, tracer=tracer,
         ).run()
-        assert trace.paths == []
+        assert tracer.dropped == 0
+        assert not any(ev["name"] == "routing/path" for ev in tracer.events)
         assert not any(k.startswith("routing/") for k in tel.snapshot())
 
     def test_direct_matches_default_config_bitwise(self):
@@ -99,45 +98,56 @@ class TestActiveSubstrates:
 
 class TestPathTracing:
     def run_traced(self, kind, seed=0, rounds=4):
-        trace = TraceRecorder()
+        tracer = SpanTracer()
         result = SimulationEngine(
             routed_config(kind, seed=seed, rounds=rounds),
-            QLECProtocol(), trace=trace,
+            QLECProtocol(), tracer=tracer,
         ).run()
-        return result, trace
+        assert tracer.dropped == 0
+        return result, tracer
+
+    @staticmethod
+    def paths(tracer):
+        return [ev for ev in tracer.events if ev["name"] == "routing/path"]
 
     def test_path_records_present_and_consistent(self):
-        result, trace = self.run_traced("tree")
-        assert result.extras["routing"]["kind"] == "tree"
-        assert trace.paths, "active substrate emitted no path records"
-        n_rounds = len(trace.records)
-        for rec in trace.paths:
-            assert rec["kind"] == "path"
-            assert 0 <= rec["round"] < n_rounds
-            assert rec["hops"] == len(rec["path"]) + 1
-            assert 0 <= rec["delivered"] <= rec["frames"]
-            assert rec["head"] not in rec["path"]
+        for kind in ("tree", "qspt"):
+            result, tracer = self.run_traced(kind)
+            assert result.extras["routing"]["kind"] == kind
+            paths = self.paths(tracer)
+            assert paths, f"{kind}: active substrate emitted no path instants"
+            rounds = {
+                ev["id"]: ev["args"]["round"]
+                for ev in tracer.events if ev["name"] == "round"
+            }
+            for ev in paths:
+                rec = ev["args"]
+                assert rounds[ev["parent"]] == rec["round"]
+                assert 0 <= rec["round"] < result.rounds_executed
+                assert rec["hops"] == len(rec["path"]) + 1
+                assert 0 <= rec["delivered"] <= rec["frames"]
+                assert rec["head"] not in rec["path"]
 
-    def test_jsonl_round_trip(self):
-        _, trace = self.run_traced("qspt")
-        text = trace.to_jsonl()
-        back = TraceRecorder.parse_jsonl(text)
-        assert len(back.records) == len(trace.records)
-        assert back.paths == trace.paths
-        # Path records are valid JSON objects on their own lines.
-        kinds = [json.loads(l).get("kind") for l in text.splitlines()]
-        assert kinds.count("path") == len(trace.paths)
+    def test_jsonl_round_trip(self, tmp_path):
+        _, tracer = self.run_traced("qspt")
+        path = tmp_path / "run.trace.jsonl"
+        tracer.write_jsonl(path)
+        loaded = read_trace_jsonl(path)
+        back = [ev for ev in loaded["events"] if ev["name"] == "routing/path"]
+        assert back == self.paths(tracer)
+        assert loaded["summary"]["instants_by_name"]["routing/path"] == len(back)
 
     def test_delivered_path_hops_sum_matches_packet_stats(self):
         """Every delivered frame's hop count flows into the packet
-        accounting: sum(hops * delivered) over path records equals the
-        run's total uplink hops beyond the member->CH hop."""
-        result, trace = self.run_traced("tree", seed=4)
-        from_paths = sum(r["hops"] * r["delivered"] for r in trace.paths)
-        # total_hops counts member->CH (1) + uplink hops per delivered
-        # CH-relayed packet; direct-to-BS members contribute 1 total.
-        assert from_paths <= result.packets.total_hops
-        assert from_paths > 0
+        accounting: sum(hops * delivered) over path instants is at most
+        the run's total hops, which also count the member->CH hop."""
+        for kind in ("tree", "qspt"):
+            result, tracer = self.run_traced(kind, seed=4)
+            from_paths = sum(
+                ev["args"]["hops"] * ev["args"]["delivered"]
+                for ev in self.paths(tracer)
+            )
+            assert 0 < from_paths <= result.packets.total_hops, kind
 
 
 class TestRoutingTelemetry:

@@ -1,5 +1,6 @@
 """Deeper engine-semantics tests: uplink paths, relay budgets, BS
-budget reset, hop-by-hop forwarding internals."""
+budget reset, hop-by-hop forwarding internals, uplink aggregation
+modes."""
 
 import numpy as np
 import pytest
@@ -214,3 +215,27 @@ class TestTLLEACHUplinkEnergy:
         tl = run_simulation(config, TLLEACHProtocol())
         flat = run_simulation(config, QLECProtocol())
         assert tl.packets.mean_hops >= flat.packets.mean_hops - 0.2
+
+
+class TestAggregationModes:
+    def test_energy_ordering(self):
+        """perfect fusion < ratio compression < no aggregation."""
+        energies = {}
+        for mode in ("perfect", "ratio", "none"):
+            cfg = make_config(seed=5).replace(aggregation=mode)
+            energies[mode] = run_simulation(cfg, QLECProtocol()).total_energy
+        assert energies["perfect"] < energies["ratio"] < energies["none"]
+
+    def test_invalid_mode_rejected(self):
+        with pytest.raises(ValueError):
+            make_config().replace(aggregation="quantum")
+
+    def test_pdr_insensitive_to_fusion_model(self):
+        """Fusion only changes uplink framing, not member delivery."""
+        pdrs = []
+        for mode in ("perfect", "ratio"):
+            cfg = make_config(seed=6, mean_interarrival=16.0).replace(
+                aggregation=mode
+            )
+            pdrs.append(run_simulation(cfg, QLECProtocol()).delivery_rate)
+        assert abs(pdrs[0] - pdrs[1]) < 0.1

@@ -137,6 +137,13 @@ class TestExports:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["kind"] == "manifest"
 
+    def test_read_rejects_misplaced_manifest(self, tmp_path):
+        lines = self._traced_run().to_jsonl().splitlines()
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([lines[1], lines[0], *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match="manifest must be the first"):
+            read_trace_jsonl(path)
+
     def test_read_tolerates_torn_tail(self, tmp_path):
         trc = self._traced_run()
         path = tmp_path / "trace.jsonl"
@@ -219,6 +226,11 @@ class TestEngineIntegration:
         engine = SimulationEngine(make_config(), QLECProtocol(), tracer=trc)
         assert trc.manifest is engine.manifest
         assert trc.manifest["kind"] == "manifest"
+
+    def test_explicit_tracer_manifest_not_overwritten(self):
+        trc = SpanTracer(manifest={"kind": "manifest", "custom": True})
+        SimulationEngine(make_config(), QLECProtocol(), tracer=trc).run()
+        assert trc.manifest == {"kind": "manifest", "custom": True}
 
     def test_mem_sample_instants_present(self):
         trc = SpanTracer()

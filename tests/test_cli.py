@@ -381,6 +381,28 @@ class TestScenarioTrace:
         events = read_trace_jsonl(trace_path)["events"]
         assert any(ev["cat"] == "fault" for ev in events)
 
+    def test_trace_records_rounds_and_paths(self, tmp_path, capsys):
+        from repro.telemetry import read_trace_jsonl
+
+        trace_path = tmp_path / "run.trace.jsonl"
+        assert main(
+            ["scenario", "chaos-partition", "--routing", "tree",
+             "--trace", str(trace_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        trace = read_trace_jsonl(trace_path)
+        assert trace["summary"]["dropped"] == 0
+        events = trace["events"]
+        rounds = {ev["id"]: ev for ev in events if ev["name"] == "round"}
+        ends = [ev for ev in events if ev["name"] == "round/end"]
+        paths = [ev for ev in events if ev["name"] == "routing/path"]
+        assert len(ends) == len(rounds) == trace["manifest"]["rounds"]
+        assert paths
+        for ev in ends + paths:
+            assert rounds[ev["parent"]]["args"]["round"] == ev["args"]["round"]
+        delivered = sum(ev["args"]["delivered"] for ev in ends)
+        assert f"| {delivered} " in out  # the summary table's delivered
+
 
 class TestSchedulerCli:
     GRID = [
