@@ -3,7 +3,7 @@ engine's span sink."""
 
 from repro.core import QLECProtocol
 from repro.simulation import SimulationEngine
-from repro.telemetry import NULL, SpanTracer, read_trace_jsonl
+from repro.telemetry import NULL, SpanTracer
 from repro.telemetry.trace import INSTANT_KIND, SPAN_KIND
 from tests.conftest import make_config
 
@@ -83,18 +83,6 @@ class TestRoundEndInstants:
             for h in ev["args"]["heads"]:
                 counts[h] = counts.get(h, 0) + 1
         assert sum(counts.values()) == sum(r.n_heads for r in result.per_round)
-
-    def test_jsonl_round_trips(self, tmp_path):
-        tracer, _ = run_traced(rounds=2)
-        path = tmp_path / "run.trace.jsonl"
-        tracer.write_jsonl(path)
-        loaded = read_trace_jsonl(path)
-        assert loaded["manifest"]["protocol"] == "qlec"
-        loaded_ends = [
-            ev["args"] for ev in loaded["events"] if ev["name"] == "round/end"
-        ]
-        assert loaded_ends == [ev["args"] for ev in round_ends(tracer)]
-        assert loaded["summary"]["instants_by_name"]["round/end"] == 2
 
     def test_untraced_engine_records_nothing(self):
         engine = SimulationEngine(make_config(seed=2), QLECProtocol())

@@ -1,146 +1,54 @@
-"""Tests for the per-round trace recorder."""
+"""The per-round trace in the span sink: its ``round/end`` records and
+the manifest header of its JSONL dump."""
 
 import json
 
-
-from repro.core import QLECProtocol
-from repro.simulation import SimulationEngine, TraceRecorder
-from tests.conftest import make_config
-
-
-def run_traced(seed=1, rounds=4):
-    trace = TraceRecorder()
-    engine = SimulationEngine(
-        make_config(seed=seed, rounds=rounds), QLECProtocol(), trace=trace
-    )
-    result = engine.run()
-    return trace, result
+from repro.telemetry import read_trace_jsonl
+from tests.simulation.test_run_trace import round_ends, run_traced
 
 
 class TestTraceRecorder:
     def test_one_record_per_round(self):
-        trace, result = run_traced(rounds=4)
-        assert len(trace) == result.rounds_executed == 4
-
-    def test_records_match_result_totals(self):
-        trace, result = run_traced()
-        assert sum(r.generated for r in trace) == result.packets.generated
-        assert sum(r.delivered for r in trace) == result.packets.delivered
-        assert sum(r.energy_consumed for r in trace) == result.total_energy
+        tracer, result = run_traced(rounds=4)
+        assert len(round_ends(tracer)) == result.rounds_executed == 4
 
     def test_round_indices_sequential(self):
-        trace, _ = run_traced()
-        assert [r.round_index for r in trace] == [0, 1, 2, 3]
+        tracer, _ = run_traced()
+        assert [ev["args"]["round"] for ev in round_ends(tracer)] == [0, 1, 2, 3]
 
-    def test_heads_recorded(self):
-        trace, _ = run_traced()
-        assert all(len(r.heads) >= 1 for r in trace)
-
-    def test_residuals_monotone_without_harvesting(self):
-        trace, _ = run_traced()
-        totals = [r.total_residual for r in trace]
-        assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
-
-    def test_head_service_counts(self):
-        trace, _ = run_traced()
-        counts = trace.head_service_counts()
-        assert sum(counts.values()) == sum(len(r.heads) for r in trace)
-
-    def test_jsonl_round_trips(self):
-        trace, _ = run_traced(rounds=2)
-        lines = trace.to_jsonl().splitlines()
-        assert len(lines) == 3  # manifest header + one line per round
-        parsed = json.loads(lines[1])
-        assert parsed["round_index"] == 0
-        assert isinstance(parsed["heads"], list)
+    def test_jsonl_round_trips(self, tmp_path):
+        tracer, _ = run_traced(rounds=2)
+        path = tmp_path / "run.trace.jsonl"
+        tracer.write_jsonl(path)
+        loaded = read_trace_jsonl(path)
+        assert loaded["manifest"]["protocol"] == "qlec"
+        loaded_ends = [
+            ev["args"] for ev in loaded["events"] if ev["name"] == "round/end"
+        ]
+        assert loaded_ends == [ev["args"] for ev in round_ends(tracer)]
+        assert loaded["summary"]["instants_by_name"]["round/end"] == 2
 
     def test_write_jsonl(self, tmp_path):
-        trace, _ = run_traced(rounds=2)
+        tracer, _ = run_traced(rounds=2)
         path = tmp_path / "trace.jsonl"
-        trace.write_jsonl(path)
-        assert len(path.read_text().strip().splitlines()) == 3
-
-    def test_untraced_engine_has_no_overhead_hook(self):
-        engine = SimulationEngine(make_config(seed=2), QLECProtocol())
-        assert engine.trace is None
-        engine.run()
+        tracer.write_jsonl(path)
+        lines = path.read_text().strip().splitlines()
+        # manifest header + one line per event + summary trailer
+        assert len(lines) == len(tracer.events) + 2
+        events = [json.loads(line) for line in lines[1:-1]]
+        assert sum(ev["name"] == "round/end" for ev in events) == 2
 
 
 class TestManifestHeader:
     def test_engine_fills_manifest(self):
-        trace, _ = run_traced(seed=3)
-        assert trace.manifest is not None
-        assert trace.manifest["kind"] == "manifest"
-        assert trace.manifest["protocol"] == "qlec"
-        assert trace.manifest["seed"] == 3
+        tracer, _ = run_traced(seed=3)
+        assert tracer.manifest is not None
+        assert tracer.manifest["kind"] == "manifest"
+        assert tracer.manifest["protocol"] == "qlec"
+        assert tracer.manifest["seed"] == 3
 
     def test_manifest_is_first_jsonl_line(self):
-        trace, _ = run_traced(rounds=2)
-        first = json.loads(trace.to_jsonl().splitlines()[0])
+        tracer, _ = run_traced(rounds=2)
+        first = json.loads(tracer.to_jsonl().splitlines()[0])
         assert first["kind"] == "manifest"
         assert first["package"] == "repro"
-
-    def test_explicit_manifest_not_overwritten(self):
-        trace = TraceRecorder(manifest={"kind": "manifest", "custom": True})
-        SimulationEngine(make_config(seed=1), QLECProtocol(), trace=trace).run()
-        assert trace.manifest["custom"] is True
-
-    def test_parse_round_trips_with_header(self):
-        trace, _ = run_traced(rounds=3)
-        clone = TraceRecorder.parse_jsonl(trace.to_jsonl())
-        assert clone.manifest == trace.manifest
-        assert clone.records == trace.records
-
-    def test_parse_accepts_headerless_dump(self):
-        trace, _ = run_traced(rounds=2)
-        body = "\n".join(trace.to_jsonl().splitlines()[1:])
-        clone = TraceRecorder.parse_jsonl(body)
-        assert clone.manifest is None
-        assert clone.records == trace.records
-
-    def test_parse_rejects_misplaced_manifest(self):
-        import pytest
-
-        trace, _ = run_traced(rounds=2)
-        lines = trace.to_jsonl().splitlines()
-        shuffled = "\n".join([lines[1], lines[0], lines[2]])
-        with pytest.raises(ValueError):
-            TraceRecorder.parse_jsonl(shuffled)
-
-    def test_load_jsonl(self, tmp_path):
-        trace, _ = run_traced(rounds=2)
-        path = tmp_path / "trace.jsonl"
-        trace.write_jsonl(path)
-        clone = TraceRecorder.load_jsonl(path)
-        assert clone.manifest == trace.manifest
-        assert clone.records == trace.records
-
-
-class TestAggregationModes:
-    def test_energy_ordering(self):
-        """perfect fusion < ratio compression < no aggregation."""
-        from repro.simulation import run_simulation
-
-        energies = {}
-        for mode in ("perfect", "ratio", "none"):
-            cfg = make_config(seed=5).replace(aggregation=mode)
-            energies[mode] = run_simulation(cfg, QLECProtocol()).total_energy
-        assert energies["perfect"] < energies["ratio"] < energies["none"]
-
-    def test_invalid_mode_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            make_config().replace(aggregation="quantum")
-
-    def test_pdr_insensitive_to_fusion_model(self):
-        """Fusion only changes uplink framing, not member delivery."""
-        from repro.simulation import run_simulation
-
-        pdrs = []
-        for mode in ("perfect", "ratio"):
-            cfg = make_config(seed=6, mean_interarrival=16.0).replace(
-                aggregation=mode
-            )
-            pdrs.append(run_simulation(cfg, QLECProtocol()).delivery_rate)
-        assert abs(pdrs[0] - pdrs[1]) < 0.1
